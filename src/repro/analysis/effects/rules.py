@@ -47,14 +47,27 @@ _HOT_ROOT_METHODS = (
 #: per-file RPR002 exemption: the clock sources and the simulator).
 _CLOCK_EXEMPT = ("repro.resilience", "repro.simulation")
 
-#: Synopsis state of the PR 6 batch-invalidation contract: mutating
-#: any of these must bump ``_mutations``.
-SYNOPSIS_MODULES = (
+#: Predictor modules whose synopsis mutations are journaled (RPR105).
+JOURNALED_MODULES = (
     "repro.core.histogram_predictor",
     "repro.core.lsh_predictor",
 )
+#: Synopsis state of the batch-invalidation contract: mutating any of
+#: these must bump ``_mutations``.  The columnar bucket store counts its
+#: own mutations, and a predictor calling a mutator on its ``_store``
+#: must bump the predictor's counter too.
+SYNOPSIS_MODULES = (*JOURNALED_MODULES, "repro.histograms.store")
 SYNOPSIS_ATTRS = frozenset(
-    {"_histograms", "_counts", "_cost_sums", "total_points", "total_mass"}
+    {
+        "_histograms",
+        "_store",
+        "_columns",
+        "_lengths",
+        "_counts",
+        "_cost_sums",
+        "total_points",
+        "total_mass",
+    }
 )
 _MUTATION_COUNTER = "_mutations"
 
@@ -371,11 +384,11 @@ class LifecycleEventCoverage(EffectRule):
         "journal every runtime synopsis mutation: call self._emit_event "
         "(repro.obs.events) on each public path that bumps _mutations"
     )
-    scope = ", ".join(SYNOPSIS_MODULES)
+    scope = ", ".join(JOURNALED_MODULES)
 
     def check(self, project: Project) -> "Iterator[Finding]":
         for cls_qualname, cls in sorted(project.classes.items()):
-            if not _module_in(cls.module, SYNOPSIS_MODULES):
+            if not _module_in(cls.module, JOURNALED_MODULES):
                 continue
             methods = {
                 name: project.functions[f"{cls_qualname}.{name}"]
@@ -547,6 +560,7 @@ __all__ = [
     "PUBLIC_API_MODULES",
     "PURE_OBS_MODULES",
     "SYNOPSIS_ATTRS",
+    "JOURNALED_MODULES",
     "SYNOPSIS_MODULES",
     "analyze_paths",
     "analyze_sources",

@@ -143,6 +143,66 @@ EFFECT_SELFTEST_CASES = (
         },
         witness_contains=("insert", "_store"),
     ),
+    # RPR103 on the columnar bucket store: a predictor method calling a
+    # store mutator through a helper must bump the predictor's counter,
+    # and the store's own public mutators must bump the store's.
+    EffectSelfTestCase(
+        rule="RPR103",
+        bad={
+            "repro.core.histogram_predictor": (
+                "class HistogramPredictor:\n"
+                "    def __init__(self, store):\n"
+                "        self._store = store\n"
+                "        self._mutations = 0\n"
+                "    def compact(self, budget):\n"
+                "        self._merge(budget)\n"
+                "    def _merge(self, budget):\n"
+                "        self._store.clear()\n"
+            ),
+            "repro.histograms.store": (
+                "class BucketStore:\n"
+                "    def __init__(self, rows):\n"
+                "        self._lengths = [0] * rows\n"
+                "        self._mutations = 0\n"
+                "    def clear(self):\n"
+                "        self._mutations += 1\n"
+                "        self._empty()\n"
+                "    def truncate(self, row):\n"
+                "        self._lengths[row] = 0\n"
+                "    def _empty(self):\n"
+                "        self._lengths = []\n"
+            ),
+        },
+        good={
+            "repro.core.histogram_predictor": (
+                "class HistogramPredictor:\n"
+                "    def __init__(self, store):\n"
+                "        self._store = store\n"
+                "        self._mutations = 0\n"
+                "    def compact(self, budget):\n"
+                "        self._merge(budget)\n"
+                "        self._mutations += 1\n"
+                "    def _merge(self, budget):\n"
+                "        self._store.clear()\n"
+            ),
+            "repro.histograms.store": (
+                "class BucketStore:\n"
+                "    def __init__(self, rows):\n"
+                "        self._lengths = [0] * rows\n"
+                "        self._mutations = 0\n"
+                "    def clear(self):\n"
+                "        self._mutations += 1\n"
+                "        self._empty()\n"
+                "    def truncate(self, row):\n"
+                "        self._lengths[row] = 0\n"
+                "        self._mutations += 1\n"
+                "    def _empty(self):\n"
+                "        self._lengths = []\n"
+            ),
+        },
+        bad_findings=2,
+        witness_contains=("compact", "_merge", "_store"),
+    ),
     # RPR105: a public predictor method bumping _mutations through a
     # helper without any _emit_event on the path; the twin journals
     # (via the same helper, proving closure propagation).  The

@@ -33,6 +33,7 @@ from repro.core.predictor import (
     PlanPredictor,
     Prediction,
     median_supported,
+    sorted_median,
 )
 from repro.core.relevance import apply_axis_weights
 from repro.exceptions import ConfigurationError, PredictionError
@@ -44,6 +45,8 @@ from repro.histograms import (
     MaxDiffHistogram,
     VOptimalHistogram,
 )
+from repro.histograms.base import BYTES_PER_BUCKET
+from repro.histograms.store import BucketStore
 from repro.lsh.grid import Grid
 from repro.lsh.stacked import StackedEnsemble
 from repro.lsh.transforms import TransformEnsemble
@@ -149,6 +152,9 @@ class HistogramPredictor(PlanPredictor):
         #: feedback inserts discounted weights.  Noise elimination
         #: compares against this, matching the weighted bucket counts.
         self.total_mass = 0.0
+        #: One store row per (transform, plan), ``transform * plans +
+        #: plan``; ``_histograms[transform][plan]`` are views of them.
+        self._store = BucketStore(0)
         self._histograms: list[list[Histogram]] = []
         self._metrics = None
         self._transform_timer = None
@@ -220,36 +226,46 @@ class HistogramPredictor(PlanPredictor):
     # ------------------------------------------------------------------
     # Construction / population
     # ------------------------------------------------------------------
-    def _new_histogram(self) -> Histogram:
-        return IncrementalHistogram(self.max_buckets)
+    def _new_synopsis(self, make) -> None:
+        """A fresh store whose row ``transform * plans + plan`` backs the
+        histogram ``make(store, row, transform, plan)``."""
+        plans = self.plan_count
+        rows = len(self.ensemble) * plans
+        self._store = BucketStore(rows, self.max_buckets + 1)
+        self._histograms = [
+            [
+                make(self._store, index * plans + plan, index, plan)
+                for plan in range(plans)
+            ]
+            for index in range(len(self.ensemble))
+        ]
+
+    def _empty_synopsis(self) -> None:
+        self._new_synopsis(
+            lambda store, row, *__: IncrementalHistogram(
+                self.max_buckets, store=store, row=row
+            )
+        )
 
     def _build_histograms(self, pool: SamplePool) -> None:
         if self.histogram_kind == "incremental" or len(pool) == 0:
-            self._histograms = [
-                [self._new_histogram() for __ in range(self.plan_count)]
-                for __ in self.ensemble
-            ]
+            self._empty_synopsis()
             for point in pool.points():
                 self.insert(point.coords, point.plan_id, point.cost)
             return
 
         builder = _STATIC_BUILDERS[self.histogram_kind]
         plan_ids = pool.plan_ids
-        costs = pool.costs
         z_all = self._z_values_batch(pool.coords)
-        for index in range(len(self.ensemble)):
-            z_values = z_all[index]
-            row: list[Histogram] = []
-            for plan in range(self.plan_count):
-                mask = plan_ids == plan
-                row.append(
-                    builder.build(
-                        z_values[mask],
-                        costs[mask],
-                        bucket_count=self.max_buckets,
-                    )
-                )
-            self._histograms.append(row)
+        self._new_synopsis(
+            lambda store, row, index, plan: builder.build(
+                z_all[index][plan_ids == plan],
+                pool.costs[plan_ids == plan],
+                bucket_count=self.max_buckets,
+                store=store,
+                row=row,
+            )
+        )
         self.total_points = len(pool)
         self.total_mass = float(len(pool))
 
@@ -321,10 +337,10 @@ class HistogramPredictor(PlanPredictor):
 
         For validated points ``(m, r)``, returns ``(z_values (t, m),
         counts (t, plans, m), avg_costs (t, plans, m))``: one stacked
-        pass computes all z-values, then each (transform, plan) synopsis
-        answers its whole query batch through the fused columnar range
-        query.  When metrics are bound (and ``record_timing``), the
-        transform and range-query timers observe exactly once per call.
+        pass computes all z-values, then one fused store query answers
+        every (transform, plan) range query of the batch.  When metrics
+        are bound (and ``record_timing``), the transform and range-query
+        timers observe exactly once per call.
         """
         record = record_timing and self._metrics is not None
         if record:
@@ -332,29 +348,20 @@ class HistogramPredictor(PlanPredictor):
         z_values = self._z_values_batch(points)
         if record:
             mid = perf_counter()
-        lo = z_values - self.delta
-        hi = z_values + self.delta
-        t = len(self.ensemble)
-        m = points.shape[0]
-        counts = np.empty((t, self.plan_count, m))
-        avg_costs = np.empty((t, self.plan_count, m))
-        for index in range(t):
-            for plan in range(self.plan_count):
-                mass, average = self._histograms[index][
-                    plan
-                ].range_query_batch(lo[index], hi[index])
-                counts[index, plan] = mass
-                avg_costs[index, plan] = average
+        counts, avg_costs = self._store.query(
+            z_values - self.delta, z_values + self.delta
+        )
+        shape = (len(self.ensemble), self.plan_count, points.shape[0])
         if record:
             self._transform_timer.observe(mid - started)
             self._range_timer.observe(perf_counter() - mid)
-        return z_values, counts, avg_costs
+        return z_values, counts.reshape(shape), avg_costs.reshape(shape)
 
     def _aggregate(self, estimates: np.ndarray) -> np.ndarray:
         """Median (or mean, under the ablation) over the transform axis."""
         if self.aggregation == "mean":
             return estimates.mean(axis=0)
-        return np.median(estimates, axis=0)
+        return sorted_median(estimates)
 
     def _winner_costs(
         self,
@@ -575,31 +582,23 @@ class HistogramPredictor(PlanPredictor):
         ``(t, plan_count, probes)``.
 
         Tiles the z-axis ``[0, 1]`` into ``probes`` equal cells and
-        answers one batched range-count per (transform, plan) pair —
-        the read-only synopsis view the quality scorecard aggregates
-        into coverage/purity/entropy.  Never mutates predictor state.
+        answers every (transform, plan) range count in one fused store
+        query — the read-only synopsis view the quality scorecard
+        aggregates into coverage/purity/entropy.  Never mutates
+        predictor state.
         """
         if probes < 1:
             raise ConfigurationError("probes must be >= 1")
         edges = np.linspace(0.0, 1.0, probes + 1)
-        lo, hi = edges[:-1], edges[1:]
-        densities = np.empty((len(self.ensemble), self.plan_count, probes))
-        for index in range(len(self.ensemble)):
-            for plan in range(self.plan_count):
-                densities[index, plan] = self._histograms[index][
-                    plan
-                ].range_count_batch(lo, hi)
-        return densities
+        densities, __ = self._store.query(edges[None, :-1], edges[None, 1:])
+        return densities.reshape(len(self.ensemble), self.plan_count, probes)
 
     def drop(self) -> None:
         """Drop every histogram and restart from scratch (Section IV-E:
         the reaction to a detected plan-space change)."""
         points_dropped = self.total_points
         mass_dropped = self.total_mass
-        self._histograms = [
-            [self._new_histogram() for __ in range(self.plan_count)]
-            for __ in self.ensemble
-        ]
+        self._empty_synopsis()
         self.histogram_kind = "incremental"
         self.total_points = 0
         self.total_mass = 0.0
@@ -614,8 +613,4 @@ class HistogramPredictor(PlanPredictor):
     def space_bytes(self) -> int:
         """``t * n_plans * b_h * 12`` bytes; actual bucket counts may be
         below the ``b_h`` cap."""
-        return sum(
-            histogram.space_bytes()
-            for row in self._histograms
-            for histogram in row
-        )
+        return self._store.bucket_count() * BYTES_PER_BUCKET

@@ -37,7 +37,6 @@ import numpy as np
 from repro.core.histogram_predictor import HistogramPredictor
 from repro.core.point import SamplePool
 from repro.exceptions import PersistenceError
-from repro.histograms import IncrementalHistogram
 from repro.histograms.base import Bucket
 from repro.lsh.grid import Grid
 from repro.lsh.transforms import PlanSpaceTransform
@@ -152,21 +151,11 @@ def predictor_from_state(state: dict) -> HistogramPredictor:
     # bounds at construction; rebuild it or predictions would silently
     # use the discarded random transforms.
     predictor._rebuild_stacked()
-    # Restore histogram contents.
-    restored: list[list[IncrementalHistogram]] = []
-    for row in state["histograms"]:
-        new_row = []
-        for spec in row:
-            histogram = IncrementalHistogram(max_buckets=spec["max_buckets"])
-            histogram.buckets = [
-                Bucket(lo, hi, count, cost_sum)
-                for lo, hi, count, cost_sum in spec["buckets"]
-            ]
-            histogram._los = [b.lo for b in histogram.buckets]
-            histogram._mutated()
-            new_row.append(histogram)
-        restored.append(new_row)
-    predictor._histograms = restored
+    # Restore histogram contents into the fresh predictor's store rows.
+    for row, specs in zip(predictor._histograms, state["histograms"], strict=True):
+        for histogram, spec in zip(row, specs, strict=True):
+            histogram.max_buckets = spec["max_buckets"]
+            histogram.load(Bucket(*values) for values in spec["buckets"])
     predictor.total_points = int(state["total_points"])
     # States written before the count/mass split carry only
     # ``total_points`` (which then included fractional weights).

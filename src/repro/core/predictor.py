@@ -29,6 +29,31 @@ class Prediction:
     estimated_cost: "float | None" = None
 
 
+def sorted_median(
+    values: np.ndarray, supported: "np.ndarray | None" = None
+) -> np.ndarray:
+    """Median over axis 0 by sorting: of every entry (bit-identical to
+    ``np.median``), or of the ``supported`` entries of a ``(t, m)``
+    matrix (bit-identical to ``np.nanmedian`` with the others as NaN,
+    and NaN for a column with none) — without the masked-array
+    machinery ``nanmedian`` pays on every call.
+    """
+    if supported is None:
+        ordered = np.sort(values, axis=0)
+        middle = values.shape[0] // 2
+        if values.shape[0] % 2:
+            return ordered[middle]
+        return (ordered[middle - 1] + ordered[middle]) / 2.0
+    # Unsupported entries sort last; like nanmedian's masked median,
+    # average the two middle supported entries (one twice when odd).
+    ordered = np.sort(np.where(supported, values, np.inf), axis=0)
+    count = supported.sum(axis=0)
+    columns = np.arange(values.shape[1])
+    low = ordered[(count - 1) // 2, columns]
+    high = ordered[count // 2, columns]
+    return np.where(count > 0, (low + high) / 2.0, np.nan)
+
+
 def median_supported(
     values: np.ndarray, supported: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -41,14 +66,7 @@ def median_supported(
     a NaN median and ``any_support`` False (the caller maps those to an
     absent cost estimate).
     """
-    masked = np.where(supported, values, np.nan)
-    medians = np.full(values.shape[1], np.nan)
-    any_support = supported.any(axis=0)
-    if any_support.any():
-        medians[any_support] = np.nanmedian(
-            masked[:, any_support], axis=0
-        )
-    return medians, any_support
+    return sorted_median(values, supported), supported.any(axis=0)
 
 
 class PlanPredictor(ABC):

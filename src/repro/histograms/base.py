@@ -5,7 +5,9 @@ bucket stores its boundaries, the number of points that fell inside it
 and the sum of their associated costs.  Range queries interpolate under
 the standard *continuous-values assumption*: points are uniformly
 distributed within a bucket, so a query range receives mass
-proportional to its overlap with the bucket.
+proportional to its overlap with the bucket.  Bucket state lives in a
+columnar :class:`~repro.histograms.store.BucketStore`; a histogram is a
+view of one of its rows.
 
 The paper's space accounting (Table I) charges 12 bytes per bucket — a
 32-bit count, a 32-bit average cost and a 32-bit boundary — which
@@ -15,11 +17,13 @@ The paper's space accounting (Table I) charges 12 bytes per bucket — a
 from __future__ import annotations
 
 from abc import ABC
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import HistogramError
+from repro.histograms.store import COUNT, BucketStore
 
 #: Bytes per bucket: 32-bit count + 32-bit average cost + 32-bit boundary.
 BYTES_PER_BUCKET = 12
@@ -27,7 +31,9 @@ BYTES_PER_BUCKET = 12
 
 @dataclass
 class Bucket:
-    """A single histogram bucket over ``[lo, hi]``.
+    """A single histogram bucket over ``[lo, hi]``: the value type for
+    building, persisting and inspecting histograms (their state lives
+    in a :class:`BucketStore`).
 
     ``count`` is the number of inserted points, ``cost_sum`` the sum of
     their cost annotations.  A zero-width bucket (``lo == hi``) models a
@@ -63,43 +69,53 @@ class Bucket:
 class Histogram(ABC):
     """Common query interface shared by all histogram variants.
 
-    Subclasses populate :attr:`buckets` (kept sorted by ``lo``) either
-    at construction time (static variants) or via ``insert`` (the
-    incremental variant).
+    A histogram is a view of one row of a :class:`BucketStore`: its own
+    one-row store by default, or row ``row`` of a store shared with the
+    other histograms of a predictor.  Static variants load their
+    buckets at construction; the incremental variant inserts them.
     """
 
-    def __init__(self, domain: tuple[float, float] = (0.0, 1.0)) -> None:
+    def __init__(
+        self,
+        domain: tuple[float, float] = (0.0, 1.0),
+        store: "BucketStore | None" = None,
+        row: int = 0,
+    ) -> None:
         lo, hi = domain
         if not lo < hi:
             raise HistogramError(f"empty histogram domain [{lo}, {hi}]")
         self.domain = (float(lo), float(hi))
-        self.buckets: list[Bucket] = []
-        # Mutation counter driving the vectorized-query array cache.
-        self._version = 0
-        self._arrays_version = -1
-        self._arrays: "tuple[np.ndarray, ...] | None" = None
+        self._store = BucketStore(1) if store is None else store
+        self._row = row
 
-    def _mutated(self) -> None:
-        """Subclasses call this after any bucket mutation."""
-        self._version += 1
+    @property
+    def buckets(self) -> tuple[Bucket, ...]:
+        """Read-only snapshot of the buckets, sorted by ``lo``."""
+        return tuple(
+            Bucket(*values) for values in self._store.row(self._row).T.tolist()
+        )
+
+    def load(self, buckets: "Iterable[Bucket]") -> None:
+        """Replace the buckets (sorted by ``lo``) wholesale."""
+        self._store.load(
+            self._row, ((b.lo, b.hi, b.count, b.cost_sum) for b in buckets)
+        )
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries: one-row calls of the store's fused range query
     # ------------------------------------------------------------------
     @property
     def total_count(self) -> float:
         """Total mass stored in the histogram."""
-        return sum(b.count for b in self.buckets)
+        return float(self._store.row(self._row)[COUNT].sum())
 
     @property
     def bucket_count(self) -> int:
-        return len(self.buckets)
+        return self._store.row(self._row).shape[1]
 
     def range_count(self, lo: float, hi: float) -> float:
         """Estimated number of points in ``[lo, hi]``."""
-        if hi < lo:
-            lo, hi = hi, lo
-        return sum(b.count * b.overlap_fraction(lo, hi) for b in self.buckets)
+        return float(self.range_count_batch([min(lo, hi)], [max(lo, hi)])[0])
 
     def range_cost(self, lo: float, hi: float) -> float:
         """Estimated average cost of the points in ``[lo, hi]``.
@@ -107,70 +123,16 @@ class Histogram(ABC):
         Returns 0 when the range holds no mass, mirroring a histogram
         query that finds no qualifying buckets.
         """
-        if hi < lo:
-            lo, hi = hi, lo
-        count = 0.0
-        cost = 0.0
-        for bucket in self.buckets:
-            fraction = bucket.overlap_fraction(lo, hi)
-            if fraction > 0.0:
-                count += bucket.count * fraction
-                cost += bucket.cost_sum * fraction
-        if count <= 0.0:
-            return 0.0
-        return cost / count
+        return float(self.range_cost_batch([min(lo, hi)], [max(lo, hi)])[0])
 
     def space_bytes(self) -> int:
         """Storage footprint under the paper's 12-bytes-per-bucket model."""
         return self.bucket_count * BYTES_PER_BUCKET
 
-    # ------------------------------------------------------------------
-    # Vectorized range queries
-    # ------------------------------------------------------------------
-    def _bucket_arrays(self) -> tuple[np.ndarray, ...]:
-        """Columnar bucket view, cached until the histogram mutates."""
-        if self._arrays is None or self._arrays_version != self._version:
-            los = np.array([b.lo for b in self.buckets])
-            his = np.array([b.hi for b in self.buckets])
-            counts = np.array([b.count for b in self.buckets])
-            cost_sums = np.array([b.cost_sum for b in self.buckets])
-            self._arrays = (los, his, counts, cost_sums)
-            self._arrays_version = self._version
-        return self._arrays
-
-    def _overlap_matrix(
-        self, lo: np.ndarray, hi: np.ndarray
-    ) -> "np.ndarray | None":
-        """Overlap fractions, shape ``(queries, buckets)``."""
-        if not self.buckets:
-            return None
-        los, his, __, __ = self._bucket_arrays()
-        lo = np.asarray(lo, dtype=float)[:, None]
-        hi = np.asarray(hi, dtype=float)[:, None]
-        widths = his - los
-        inter = np.minimum(hi, his) - np.maximum(lo, los)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fraction = np.clip(inter / widths, 0.0, 1.0)
-        # Point-mass buckets: in range iff lo <= bucket.lo <= hi.
-        point_mass = widths <= 0.0
-        in_range = (lo <= los) & (los <= hi)
-        return np.where(point_mass, in_range.astype(float), fraction)
-
-    def range_count_batch(
-        self, lo: np.ndarray, hi: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`range_count` over query arrays ``(m,)``.
-
-        Uses an explicit multiply + trailing-axis sum instead of a BLAS
-        ``@`` so each query's mass is reduced over its own contiguous
-        strip — bitwise independent of how many queries share the batch
-        (the scalar/batch parity contract).
-        """
-        fractions = self._overlap_matrix(lo, hi)
-        if fractions is None:
-            return np.zeros(np.asarray(lo).shape[0])
-        __, __, counts, __ = self._bucket_arrays()
-        return (fractions * counts).sum(axis=1)
+    def range_count_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`range_count` over query arrays ``(m,)``."""
+        mass, __ = self.range_query_batch(lo, hi)
+        return mass
 
     def range_cost_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`range_cost` over query arrays ``(m,)``."""
@@ -180,23 +142,44 @@ class Histogram(ABC):
     def range_query_batch(
         self, lo: np.ndarray, hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Counts and average costs for query arrays ``(m,)`` in one
-        overlap pass — the fused lookup the batched predictors issue per
-        (transform, plan) synopsis."""
-        fractions = self._overlap_matrix(lo, hi)
-        if fractions is None:
-            zeros = np.zeros(np.asarray(lo).shape[0])
-            return zeros, zeros.copy()
-        __, __, counts, cost_sums = self._bucket_arrays()
-        mass = (fractions * counts).sum(axis=1)
-        cost = (fractions * cost_sums).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            average = np.where(mass > 0.0, cost / np.maximum(mass, 1e-300), 0.0)
-        return mass, average
+        """Counts and average costs for query arrays ``(m,)``: this
+        histogram's row through :meth:`BucketStore.query`."""
+        mass, average = self._store.query(
+            lo, hi, rows=slice(self._row, self._row + 1)
+        )
+        return mass[0], average[0]
 
     # ------------------------------------------------------------------
     # Helpers for subclasses
     # ------------------------------------------------------------------
+    @classmethod
+    def _sorted_input(
+        cls,
+        values: "Iterable[float]",
+        costs: "Iterable[float] | None",
+        bucket_count: int,
+        domain: tuple[float, float],
+        store: "BucketStore | None",
+        row: int,
+    ) -> "tuple[Histogram, np.ndarray, np.ndarray]":
+        """A static builder's validated input: the empty histogram and
+        the values with their costs, sorted by value."""
+        if bucket_count < 1:
+            raise HistogramError("bucket_count must be >= 1")
+        hist = cls(domain, store, row)
+        data = np.asarray(values, dtype=float)
+        if data.size == 0:
+            return hist, data, data
+        if data.min() < hist.domain[0] or data.max() > hist.domain[1]:
+            raise HistogramError("values outside histogram domain")
+        cost_data = np.zeros_like(data) if costs is None else np.asarray(
+            costs, dtype=float
+        )
+        if cost_data.shape != data.shape:
+            raise HistogramError("values and costs must align")
+        order = np.argsort(data, kind="stable")
+        return hist, data[order], cost_data[order]
+
     def _check_in_domain(self, value: float) -> None:
         lo, hi = self.domain
         if not lo <= value <= hi:

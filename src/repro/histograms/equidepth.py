@@ -12,8 +12,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.exceptions import HistogramError
 from repro.histograms.base import Bucket, Histogram
+from repro.histograms.store import BucketStore
 
 
 class EquiDepthHistogram(Histogram):
@@ -26,42 +26,28 @@ class EquiDepthHistogram(Histogram):
         costs: Sequence[float] | None = None,
         bucket_count: int = 40,
         domain: tuple[float, float] = (0.0, 1.0),
+        store: "BucketStore | None" = None,
+        row: int = 0,
     ) -> "EquiDepthHistogram":
-        if bucket_count < 1:
-            raise HistogramError("bucket_count must be >= 1")
-        hist = cls(domain)
-        data = np.asarray(values, dtype=float)
+        hist, data, cost_data = cls._sorted_input(
+            values, costs, bucket_count, domain, store, row
+        )
         if data.size == 0:
             return hist
-        lo, hi = hist.domain
-        if data.min() < lo or data.max() > hi:
-            raise HistogramError("values outside histogram domain")
-        if costs is None:
-            cost_data = np.zeros_like(data)
-        else:
-            cost_data = np.asarray(costs, dtype=float)
-            if cost_data.shape != data.shape:
-                raise HistogramError("values and costs must align")
-
-        order = np.argsort(data, kind="stable")
-        data = data[order]
-        cost_data = cost_data[order]
 
         effective = min(bucket_count, data.size)
         # Quantile edges; first/last edges snap to the actual data range so
         # that no bucket extends into empty space (which would dilute the
         # continuous-values interpolation).
         positions = np.linspace(0, data.size, effective + 1).astype(int)
-        for i in range(effective):
-            start, stop = positions[i], positions[i + 1]
-            if start == stop:
-                continue
-            chunk = data[start:stop]
-            bucket = Bucket(
-                lo=float(chunk[0]),
-                hi=float(chunk[-1]),
+        hist.load(
+            Bucket(
+                lo=float(data[start]),
+                hi=float(data[stop - 1]),
                 count=float(stop - start),
                 cost_sum=float(cost_data[start:stop].sum()),
             )
-            hist.buckets.append(bucket)
+            for start, stop in zip(positions, positions[1:], strict=False)
+            if start < stop
+        )
         return hist

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.exceptions import HistogramError
 from repro.histograms.base import Bucket, Histogram
+from repro.histograms.store import BucketStore
 
 
 class EquiWidthHistogram(Histogram):
@@ -24,16 +25,15 @@ class EquiWidthHistogram(Histogram):
         self,
         bucket_count: int,
         domain: tuple[float, float] = (0.0, 1.0),
+        store: "BucketStore | None" = None,
+        row: int = 0,
     ) -> None:
         if bucket_count < 1:
             raise HistogramError("bucket_count must be >= 1")
-        super().__init__(domain)
+        super().__init__(domain, store, row)
         lo, hi = self.domain
-        edges = np.linspace(lo, hi, bucket_count + 1)
-        self.buckets = [
-            Bucket(float(edges[i]), float(edges[i + 1]))
-            for i in range(bucket_count)
-        ]
+        edges = np.linspace(lo, hi, bucket_count + 1).tolist()
+        self.load(Bucket(a, b) for a, b in zip(edges, edges[1:], strict=False))
 
     @classmethod
     def build(
@@ -42,9 +42,11 @@ class EquiWidthHistogram(Histogram):
         costs: Sequence[float] | None = None,
         bucket_count: int = 40,
         domain: tuple[float, float] = (0.0, 1.0),
+        store: "BucketStore | None" = None,
+        row: int = 0,
     ) -> "EquiWidthHistogram":
         """Construct and populate a histogram from labeled points."""
-        hist = cls(bucket_count, domain)
+        hist = cls(bucket_count, domain, store, row)
         if costs is None:
             costs = np.zeros(len(values))
         for value, cost in zip(values, costs, strict=True):
@@ -58,9 +60,6 @@ class EquiWidthHistogram(Histogram):
             raise HistogramError("insertion weight must be > 0")
         lo, hi = self.domain
         span = hi - lo
-        index = int((value - lo) / span * len(self.buckets))
-        index = min(index, len(self.buckets) - 1)
-        bucket = self.buckets[index]
-        bucket.count += weight
-        bucket.cost_sum += cost * weight
-        self._mutated()
+        index = int((value - lo) / span * self.bucket_count)
+        index = min(index, self.bucket_count - 1)
+        self._store.deposit(self._row, index, cost, weight)

@@ -14,10 +14,9 @@ static variants compute offline.
 
 from __future__ import annotations
 
-import bisect
-
 from repro.exceptions import HistogramError
-from repro.histograms.base import Bucket, Histogram
+from repro.histograms.base import Histogram
+from repro.histograms.store import BucketStore
 
 
 class IncrementalHistogram(Histogram):
@@ -27,69 +26,36 @@ class IncrementalHistogram(Histogram):
         self,
         max_buckets: int = 40,
         domain: tuple[float, float] = (0.0, 1.0),
+        store: "BucketStore | None" = None,
+        row: int = 0,
     ) -> None:
         if max_buckets < 1:
             raise HistogramError("max_buckets must be >= 1")
-        super().__init__(domain)
+        super().__init__(
+            domain, BucketStore(1, max_buckets + 1) if store is None else store, row
+        )
         self.max_buckets = max_buckets
-        self._los: list[float] = []
 
     def insert(self, value: float, cost: float = 0.0, weight: float = 1.0) -> None:
         """Insert one labeled point, merging buckets if over budget.
 
-        ``weight`` scales the point's mass (and its cost contribution);
-        fractional weights implement the discounted insertion of the
-        positive-feedback extension.
+        A value inside an existing bucket is absorbed by it; otherwise
+        it opens a point-mass bucket.  ``weight`` scales the point's
+        mass (and its cost contribution); fractional weights implement
+        the discounted insertion of the positive-feedback extension.
         """
         self._check_in_domain(value)
         if weight <= 0.0:
             raise HistogramError("insertion weight must be > 0")
-        index = bisect.bisect_left(self._los, value)
-
-        # Absorb into an existing bucket when the value already lies
-        # inside one; otherwise create a point-mass bucket.
-        if index < len(self.buckets) and self.buckets[index].lo == value:
-            bucket = self.buckets[index]
-        elif index > 0 and self.buckets[index - 1].hi >= value:
-            bucket = self.buckets[index - 1]
-        else:
-            bucket = Bucket(lo=value, hi=value)
-            self.buckets.insert(index, bucket)
-            self._los.insert(index, value)
-        bucket.count += weight
-        bucket.cost_sum += cost * weight
-        self._mutated()
-
-        while len(self.buckets) > self.max_buckets:
-            self._merge_narrowest_pair()
+        self._store.insert(self._row, value, cost, weight, self.max_buckets)
 
     def shrink(self, new_max: int) -> None:
         """Reduce the bucket budget in place (memory-governor support)."""
         if new_max < 1:
             raise HistogramError("max_buckets must be >= 1")
         self.max_buckets = new_max
-        while len(self.buckets) > self.max_buckets:
-            self._merge_narrowest_pair()
-
-    def _merge_narrowest_pair(self) -> None:
-        """Coalesce the adjacent pair whose union is narrowest."""
-        best_index = 0
-        best_span = float("inf")
-        for i in range(len(self.buckets) - 1):
-            span = self.buckets[i + 1].hi - self.buckets[i].lo
-            if span < best_span:
-                best_span = span
-                best_index = i
-        left = self.buckets[best_index]
-        right = self.buckets.pop(best_index + 1)
-        self._los.pop(best_index + 1)
-        left.hi = right.hi
-        left.count += right.count
-        left.cost_sum += right.cost_sum
-        self._mutated()
+        self._store.shrink(self._row, new_max)
 
     def clear(self) -> None:
         """Drop all buckets (used when a template's plan space drifts)."""
-        self.buckets.clear()
-        self._los.clear()
-        self._mutated()
+        self.load(())

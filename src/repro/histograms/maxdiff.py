@@ -14,8 +14,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.exceptions import HistogramError
 from repro.histograms.base import Bucket, Histogram
+from repro.histograms.store import BucketStore
 
 
 class MaxDiffHistogram(Histogram):
@@ -28,32 +28,20 @@ class MaxDiffHistogram(Histogram):
         costs: Sequence[float] | None = None,
         bucket_count: int = 40,
         domain: tuple[float, float] = (0.0, 1.0),
+        store: "BucketStore | None" = None,
+        row: int = 0,
     ) -> "MaxDiffHistogram":
-        if bucket_count < 1:
-            raise HistogramError("bucket_count must be >= 1")
-        hist = cls(domain)
-        data = np.asarray(values, dtype=float)
+        hist, data, cost_data = cls._sorted_input(
+            values, costs, bucket_count, domain, store, row
+        )
         if data.size == 0:
             return hist
-        lo, hi = hist.domain
-        if data.min() < lo or data.max() > hi:
-            raise HistogramError("values outside histogram domain")
-        if costs is None:
-            cost_data = np.zeros_like(data)
-        else:
-            cost_data = np.asarray(costs, dtype=float)
-            if cost_data.shape != data.shape:
-                raise HistogramError("values and costs must align")
-
-        order = np.argsort(data, kind="stable")
-        data = data[order]
-        cost_data = cost_data[order]
 
         if data.size == 1 or bucket_count == 1:
-            hist.buckets = [
-                Bucket(float(data[0]), float(data[-1]), float(data.size),
-                       float(cost_data.sum()))
-            ]
+            hist.load(
+                [Bucket(float(data[0]), float(data[-1]), float(data.size),
+                        float(cost_data.sum()))]
+            )
             return hist
 
         gaps = np.diff(data)
@@ -62,19 +50,20 @@ class MaxDiffHistogram(Histogram):
         # boundary between data[i] and data[i + 1].
         split_after = np.sort(np.argpartition(gaps, -split_budget)[-split_budget:])
 
+        buckets = []
         start = 0
         for split in list(split_after) + [data.size - 1]:
             stop = int(split) + 1
             if stop <= start:
                 continue
-            chunk = data[start:stop]
-            hist.buckets.append(
+            buckets.append(
                 Bucket(
-                    lo=float(chunk[0]),
-                    hi=float(chunk[-1]),
+                    lo=float(data[start]),
+                    hi=float(data[stop - 1]),
                     count=float(stop - start),
                     cost_sum=float(cost_data[start:stop].sum()),
                 )
             )
             start = stop
+        hist.load(buckets)
         return hist

@@ -20,8 +20,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.exceptions import HistogramError
 from repro.histograms.base import Bucket, Histogram
+from repro.histograms.store import BucketStore
 
 #: Above this many distinct values the input is pre-aggregated onto a
 #: quantile grid to keep the O(n^2 b) dynamic program tractable.
@@ -38,26 +38,14 @@ class VOptimalHistogram(Histogram):
         costs: "Sequence[float] | None" = None,
         bucket_count: int = 40,
         domain: tuple[float, float] = (0.0, 1.0),
+        store: "BucketStore | None" = None,
+        row: int = 0,
     ) -> "VOptimalHistogram":
-        if bucket_count < 1:
-            raise HistogramError("bucket_count must be >= 1")
-        hist = cls(domain)
-        data = np.asarray(values, dtype=float)
+        hist, data, cost_data = cls._sorted_input(
+            values, costs, bucket_count, domain, store, row
+        )
         if data.size == 0:
             return hist
-        lo, hi = hist.domain
-        if data.min() < lo or data.max() > hi:
-            raise HistogramError("values outside histogram domain")
-        if costs is None:
-            cost_data = np.zeros_like(data)
-        else:
-            cost_data = np.asarray(costs, dtype=float)
-            if cost_data.shape != data.shape:
-                raise HistogramError("values and costs must align")
-
-        order = np.argsort(data, kind="stable")
-        data = data[order]
-        cost_data = cost_data[order]
 
         # Aggregate to (distinct value, count, cost sum) triples.
         distinct, start_index, counts = np.unique(
@@ -72,15 +60,15 @@ class VOptimalHistogram(Histogram):
         boundaries = _voptimal_boundaries(
             distinct, counts, min(bucket_count, distinct.size)
         )
-        for start, stop in boundaries:
-            hist.buckets.append(
-                Bucket(
-                    lo=float(distinct[start]),
-                    hi=float(distinct[stop - 1]),
-                    count=float(counts[start:stop].sum()),
-                    cost_sum=float(cost_sums[start:stop].sum()),
-                )
+        hist.load(
+            Bucket(
+                lo=float(distinct[start]),
+                hi=float(distinct[stop - 1]),
+                count=float(counts[start:stop].sum()),
+                cost_sum=float(cost_sums[start:stop].sum()),
             )
+            for start, stop in boundaries
+        )
         return hist
 
 
