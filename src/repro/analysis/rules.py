@@ -182,7 +182,6 @@ _REGISTRY_METHODS = frozenset(
         "gauge_value",
         "histogram",
         "histogram_summary",
-        "time_block",
     }
 )
 

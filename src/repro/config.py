@@ -60,8 +60,8 @@ class TraceConfig:
 
     Every ``TemplateSession.execute`` asks the sampler whether to build
     a full :class:`~repro.obs.tracing.DecisionTrace`; unsampled
-    executions pay one no-op method call per stage and allocate
-    nothing.  Sampling is deterministic (no RNG): the first ``head``
+    executions share the tracer's reusable stage trace, which times the
+    four stages and allocates nothing.  Sampling is deterministic (no RNG): the first ``head``
     executions are always traced, every ``interval``-th execution after
     that (0 disables interval sampling), and — error-biased — the
     ``error_burst`` executions following any degraded/fallback/raised
@@ -92,12 +92,12 @@ class ProfileConfig:
     """Stage-profiler knobs (see :mod:`repro.obs.profiling`).
 
     Disabled (the default) the profiler does not exist: the tracer owns
-    no profiler object and unsampled executions keep returning the
-    shared ``NOOP_TRACE`` singleton — the hot path is bit-identical to
-    a build without the feature.  Enabled, every ``interval``-th
-    execution per template is timed stage-by-stage on the existing span
-    seam; sampling is deterministic (a per-template counter, no RNG),
-    so profiled runs make the same decisions as unprofiled ones.
+    no profiler object and unsampled executions keep getting its one
+    reusable stage trace — the hot path is bit-identical to a build
+    without the feature.  Enabled, every ``interval``-th execution per
+    template folds each of its span closes by stage path; sampling is
+    deterministic (a per-template counter, no RNG), so profiled runs
+    make the same decisions as unprofiled ones.
     """
 
     enabled: bool = False

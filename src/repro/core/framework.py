@@ -64,7 +64,7 @@ from repro.obs.profiling import StageProfiler
 from repro.obs.quality import export_quality_gauges
 from repro.obs.slo import SLOEngine
 from repro.obs.timeseries import TimeSeriesStore
-from repro.obs.tracing import DecisionTrace, DecisionTracer, NoopTrace
+from repro.obs.tracing import DecisionTrace, DecisionTracer, StageTrace
 from repro.optimizer.plan_space import PlanSpace
 from repro.resilience.breaker import BREAKER_STATE_VALUES, CircuitBreaker
 from repro.resilience.clocks import system_clock, system_sleep
@@ -234,13 +234,9 @@ class TemplateSession:
             self._observe = self.online.observe
 
         # Stable metric handles: fetched once, updated lock-free in the
-        # hot path below.
-        self._stage_timers = {
-            stage: self.metrics.histogram(
-                metric_names.STAGE_SECONDS, template=template, stage=stage
-            )
-            for stage in metric_names.STAGES
-        }
+        # hot path below.  The stage timers live in the tracer: a stage
+        # is a top-level span.
+        self._prefetch_seconds = 0.0
         self._executions_counter = self.metrics.counter(
             metric_names.EXECUTIONS_TOTAL, template=template
         )
@@ -317,32 +313,6 @@ class TemplateSession:
     # ------------------------------------------------------------------
     # The decision flow
     # ------------------------------------------------------------------
-    def _validate_point(self, x: np.ndarray) -> np.ndarray:
-        """Reject malformed instances before they enter the flow.
-
-        NaN poisons every density estimate downstream (NaN comparisons
-        are silently false), so the guard runs up front and raises a
-        clean :class:`PredictionError`, counted per rejection reason.
-        """
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.plan_space.dimensions:
-            self._rejected_counters["bad_shape"].inc()
-            raise PredictionError(
-                f"expected a {self.plan_space.dimensions}-dimensional "
-                f"point, got {x.shape[0]}"
-            )
-        if not np.isfinite(x).all():
-            self._rejected_counters["non_finite"].inc()
-            raise PredictionError(
-                "plan-space point contains NaN or infinity"
-            )
-        if (x < 0.0).any() or (x > 1.0).any():
-            self._rejected_counters["out_of_domain"].inc()
-            raise PredictionError(
-                "plan-space point must lie in [0, 1]^r"
-            )
-        return x
-
     def _invoke_optimizer(
         self, x: np.ndarray, reason: str = "direct"
     ) -> "tuple[int, float] | None":
@@ -383,30 +353,6 @@ class TemplateSession:
         self.cache.put(plan_id, self.plan_space.plan(plan_id))
         return plan_id, cost
 
-    def _fallback_plan(self, prediction) -> tuple[int, str]:
-        """The optimizer is unavailable: serve the best plan we hold.
-
-        Preference order: the current prediction if its plan is still
-        cached, then the plan served for the previous instance, then
-        the most recently used resident plan.  Raises
-        :class:`ResilienceError` only when the cache is empty — before
-        the first successful optimization there is nothing to serve.
-        """
-        if prediction is not None and prediction.plan_id in self.cache:
-            self.cache.get(prediction.plan_id)
-            return prediction.plan_id, "prediction"
-        if self._last_plan_id is not None and self._last_plan_id in self.cache:
-            self.cache.get(self._last_plan_id)
-            return self._last_plan_id, "last_plan"
-        recent = self.cache.most_recent()
-        if recent is not None:
-            return recent, "cache"
-        raise ResilienceError(
-            f"optimizer unavailable for template "
-            f"{self.plan_space.template.name!r} and the plan cache is "
-            "empty: no executable plan exists"
-        )
-
     def execute(self, x: np.ndarray) -> ExecutionRecord:
         """Run one query instance through the PPC workflow."""
         trace = self.tracer.begin()
@@ -442,9 +388,7 @@ class TemplateSession:
         total = points.shape[0]
         start = 0
         while start < total:
-            predictions, amortized = self._prefetch_predictions(
-                points[start:]
-            )
+            predictions = self._prefetch_predictions(points[start:])
             version = self.online.mutation_count
             advanced = 0
             for offset, precomputed in enumerate(predictions):
@@ -452,26 +396,21 @@ class TemplateSession:
                     break  # Synopses changed: the tail is stale.
                 trace = self.tracer.begin()
                 records.append(
-                    self._run(
-                        points[start + offset],
-                        trace,
-                        precomputed=precomputed,
-                        predict_seconds=amortized,
-                    )
+                    self._run(points[start + offset], trace, precomputed)
                 )
                 advanced += 1
             start += advanced
         return records
 
-    def _prefetch_predictions(
-        self, tail: np.ndarray
-    ) -> tuple[list, float]:
+    def _prefetch_predictions(self, tail: np.ndarray) -> list:
         """Vectorized predictions for the remaining batch tail.
 
-        Returns ``(predictions, amortized_seconds)`` where each entry is
-        either a precomputed prediction or the ``_RECOMPUTE`` sentinel
-        (non-finite rows, or the whole tail when the batch predictor
-        itself failed — both then replay the scalar path per point).
+        Each entry is either a precomputed prediction or the
+        ``_RECOMPUTE`` sentinel (non-finite rows, or the whole tail when
+        the batch predictor itself failed — both then replay the scalar
+        path per point).  The call's amortized per-instance wall is kept
+        in ``_prefetch_seconds``, which the predict step charges to the
+        predict stage of every instance it serves.
         """
         started = perf_counter()
         finite = np.isfinite(tail).all(axis=1)
@@ -483,13 +422,15 @@ class TemplateSession:
             except Exception:
                 # Degradation accounting happens per point in the
                 # scalar fallback, exactly like sequential execution.
-                return predictions, 0.0
+                return predictions
             for row, prediction in zip(
                 np.flatnonzero(finite), computed, strict=True
             ):
                 predictions[row] = prediction
-        amortized = (perf_counter() - started) / max(1, tail.shape[0])
-        return predictions, amortized
+        self._prefetch_seconds = (perf_counter() - started) / max(
+            1, tail.shape[0]
+        )
+        return predictions
 
     def explain(self, x: np.ndarray) -> DecisionTrace:
         """Run one instance fully traced; returns its decision trace.
@@ -508,20 +449,16 @@ class TemplateSession:
     def _run(
         self,
         x: np.ndarray,
-        trace: "DecisionTrace | NoopTrace",
+        trace: "DecisionTrace | StageTrace",
         precomputed=_RECOMPUTE,
-        predict_seconds: float = 0.0,
     ) -> ExecutionRecord:
         """Drive one decision, sealing the trace on every exit path."""
         if self._events is not None:
             # Cross-link: lifecycle events emitted while this decision
             # runs carry the active trace seq (None when unsampled).
-            self._events.set_trace(getattr(trace, "seq", None))
+            self._events.set_trace(trace.seq if trace.active else None)
         try:
-            record = self._decide_and_execute(
-                x, trace, precomputed=precomputed,
-                predict_seconds=predict_seconds,
-            )
+            record = self._decide_and_execute(x, trace, precomputed)
         except BaseException as exc:
             self.tracer.finish(trace, error=exc)
             raise
@@ -529,81 +466,119 @@ class TemplateSession:
         return record
 
     def _decide_and_execute(
-        self,
-        x: np.ndarray,
-        trace: "DecisionTrace | NoopTrace",
-        precomputed=_RECOMPUTE,
-        predict_seconds: float = 0.0,
+        self, x: np.ndarray, trace: "DecisionTrace | StageTrace", precomputed
     ) -> ExecutionRecord:
-        """The Figure-1 decision flow, annotated onto ``trace``.
+        """The Figure-1 decision flow, one step method per stage.
 
-        All trace attribute computation hides behind ``trace.active``
-        so the unsampled path stays behaviorally and metrically
-        identical to the untraced flow — and allocation-free.
-
-        ``precomputed`` (from :meth:`execute_batch`) supplies the
-        predict-stage result computed vectorized for the whole batch;
-        ``predict_seconds`` is that call's amortized per-instance cost,
-        observed into the predict stage timer in place of a wall-clock
-        read.  Traced instances ignore the precomputed value and
-        re-predict through the span-annotating path (same numeric core,
-        identical decision).
+        Every step wraps its work in its span on ``trace``; span closes
+        are the only timing points.  ``precomputed`` is the prediction
+        :meth:`execute_batch` computed vectorized for this instance.
         """
-        with trace.span("normalize"):
-            x = (
-                self._validate_point(x)
-                if self.config.resilience.validate_points
-                else np.asarray(x, dtype=float).reshape(-1)
-            )
-            if trace.active:
-                trace.point = [float(v) for v in x]
-                trace.annotate(
-                    dimensions=int(x.shape[0]),
-                    validated=self.config.resilience.validate_points,
-                )
+        x = self._normalize(x, trace)
         self._executions_counter.inc()
         invocations_before = self.optimizer_invocations
         # Experimenter-side ground truth; the session only learns it if
         # and when it invokes the optimizer below.
         true_ids, true_costs = self.plan_space.label(x[None, :])
-        optimal_plan, optimal_cost = int(true_ids[0]), float(true_costs[0])
-
-        degraded = False
+        optimal = int(true_ids[0]), float(true_costs[0])
+        prediction, degraded = self._predict_plan(x, trace, precomputed)
+        reason = self._decide(prediction, trace)
         fallback_source = ""
-        use_precomputed = precomputed is not _RECOMPUTE and not trace.active
-        stage_start = perf_counter()
-        with trace.span("predict") as predict_span:
-            if use_precomputed:
-                prediction = precomputed
-            else:
-                try:
-                    prediction = (
-                        self._predict(x, trace=trace)
-                        if trace.active
-                        else self._predict(x)
-                    )
-                except Exception:
-                    # A broken predictor degrades to the optimizer path.
-                    prediction = None
-                    degraded = True
-                    self._degraded_counters["predictor"].inc()
-                    predict_span.set(
-                        degraded=True, status_detail="predictor raised"
-                    )
+        if not reason:
+            executed = self._execute(x, prediction, trace)
+            reason, unverified = self._feedback(x, prediction, executed[1], trace)
+            degraded = degraded or unverified
+        elif (executed := self._optimize(x, reason, trace)) is not None:
+            self._verify(prediction, executed[0])
+        else:
+            # Optimizer down: answer from the fallback chain.  The
+            # estimators see nothing — there is no verified signal.
+            degraded = True
+            executed, fallback_source = self._fallback(x, prediction, optimal, trace)
+        if reason:
+            self._reason_counters[reason].inc()
+        drift = self._drift(trace)
+        return self._record(
+            x, prediction, reason, executed, optimal,
+            optimizer_invoked=self.optimizer_invocations > invocations_before,
+            drift_triggered=drift,
+            degraded=degraded,
+            fallback_source=fallback_source,
+        )
+
+    def _normalize(
+        self, x: np.ndarray, trace: "DecisionTrace | StageTrace"
+    ) -> np.ndarray:
+        """Figure 1 entry: the instance as a plan-space point.
+
+        With ``validate_points`` on, malformed instances are rejected
+        before they enter the flow: NaN poisons every density estimate
+        downstream (NaN comparisons are silently false), so the guard
+        raises a clean :class:`PredictionError`, counted per rejection
+        reason.
+        """
+        validate = self.config.resilience.validate_points
+        dimensions = self.plan_space.dimensions
+        with trace.span("normalize"):
+            x = np.asarray(x, dtype=float).reshape(-1)
+            if validate and x.shape[0] != dimensions:
+                self._rejected_counters["bad_shape"].inc()
+                raise PredictionError(
+                    f"expected a {dimensions}-dimensional point, got {x.shape[0]}"
+                )
+            if validate and not np.isfinite(x).all():
+                self._rejected_counters["non_finite"].inc()
+                raise PredictionError("plan-space point contains NaN or infinity")
+            if validate and ((x < 0.0).any() or (x > 1.0).any()):
+                self._rejected_counters["out_of_domain"].inc()
+                raise PredictionError("plan-space point must lie in [0, 1]^r")
+            if trace.active:
+                trace.point = [float(v) for v in x]
+                trace.annotate(dimensions=int(x.shape[0]), validated=validate)
+        return x
+
+    def _predict_plan(
+        self, x: np.ndarray, trace: "DecisionTrace | StageTrace", precomputed
+    ):
+        """Figure 1 predict step; returns ``(prediction, degraded)``.
+
+        An unsampled instance of :meth:`execute_batch` takes its
+        ``precomputed`` prediction and charges the predict stage its
+        share of the vectorized call.  Traced instances re-predict
+        through the span-annotating path (same numeric core, identical
+        decision).
+        """
+        if precomputed is not _RECOMPUTE and not trace.active:
+            trace.charge("predict", self._prefetch_seconds)
+            return precomputed, False
+        with trace.span("predict") as span:
+            try:
+                prediction = (
+                    self._predict(x, trace=trace)
+                    if trace.active
+                    else self._predict(x)
+                )
+            except Exception:
+                # A broken predictor degrades to the optimizer path.
+                self._degraded_counters["predictor"].inc()
+                span.set(
+                    degraded=True, status_detail="predictor raised", plan=None
+                )
+                return None, True
             if trace.active:
                 if prediction is None:
-                    predict_span.set(plan=None)
+                    span.set(plan=None)
                 else:
-                    predict_span.set(
+                    span.set(
                         plan=prediction.plan_id,
                         confidence=prediction.confidence,
                         estimated_cost=prediction.estimated_cost,
                     )
-        self._stage_timers["predict"].observe(
-            predict_seconds if use_precomputed
-            else perf_counter() - stage_start
-        )
+        return prediction, False
 
+    def _decide(self, prediction, trace: "DecisionTrace | StageTrace") -> str:
+        """Figure 1 decide step: why to invoke the optimizer, or ``""``
+        to serve the prediction from the cache."""
         reason = ""
         if prediction is None:
             reason = "null_prediction"
@@ -613,206 +588,201 @@ class TemplateSession:
             reason = "cache_miss"
         if trace.active:
             # Membership via ``in`` is accounting-free — the real
-            # lookup below still owns the hit/miss counters.
-            with trace.span("decide") as decide_span:
-                decide_span.set(
+            # lookup in the execute step owns the hit/miss counters.
+            with trace.span("decide") as span:
+                span.set(
                     action=reason or "serve_prediction",
                     plan_cached=prediction is not None
                     and prediction.plan_id in self.cache,
                 )
+        return reason
 
-        if reason:
-            stage_start = perf_counter()
-            with trace.span("optimize") as optimize_span:
-                if trace.active:
-                    optimize_span.set(
-                        reason=reason, breaker_before=self.breaker.state
-                    )
-                retries_before = self._retries_counter.value
-                outcome = self._invoke_optimizer(x, reason)
-                if trace.active:
-                    optimize_span.set(
-                        breaker_after=self.breaker.state,
-                        retries=int(
-                            self._retries_counter.value - retries_before
-                        ),
-                        available=outcome is not None,
-                    )
-                    if outcome is not None:
-                        optimize_span.set(
-                            plan=outcome[0], cost=outcome[1]
-                        )
-            self._stage_timers["optimize"].observe(
-                perf_counter() - stage_start
-            )
-            if outcome is not None:
-                executed_plan, execution_cost = outcome
-                if prediction is None:
-                    self.monitor.record_null()
-                else:
-                    self.monitor.record_prediction(
-                        prediction.plan_id,
-                        prediction.plan_id == executed_plan,
-                    )
-            else:
-                # Optimizer down: answer from the fallback chain.  The
-                # estimators see nothing — there is no verified signal.
-                degraded = True
-                with trace.span("fallback") as fallback_span:
-                    executed_plan, fallback_source = self._fallback_plan(
-                        prediction
-                    )
-                    execution_cost = float(
-                        self.plan_space.cost_at(x[None, :], executed_plan)[0]
-                    )
-                    if trace.active:
-                        fallback_span.set(
-                            source=fallback_source,
-                            plan=executed_plan,
-                            suboptimality=execution_cost / optimal_cost
-                            if optimal_cost > 0.0
-                            else 1.0,
-                        )
-                self._fallback_counters[fallback_source].inc()
-                if self._events is not None:
-                    self._events(
-                        "fallback_served",
-                        source=fallback_source,
-                        plan=int(executed_plan),
-                    )
-                self._fallback_suboptimality.observe(
-                    execution_cost / optimal_cost
-                    if optimal_cost > 0.0
-                    else 1.0
+    def _optimize(
+        self, x: np.ndarray, reason: str, trace: "DecisionTrace | StageTrace"
+    ) -> "tuple[int, float] | None":
+        """Figure 1 optimize step, before execution or verifying it
+        (negative feedback): the guarded optimizer call in an
+        ``optimize`` span.  ``None`` when the optimizer is unavailable."""
+        with trace.span("optimize") as span:
+            if trace.active:
+                span.set(reason=reason, breaker_before=self.breaker.state)
+            retries_before = self._retries_counter.value
+            outcome = self._invoke_optimizer(x, reason)
+            if trace.active:
+                span.set(
+                    breaker_after=self.breaker.state,
+                    retries=int(self._retries_counter.value - retries_before),
+                    available=outcome is not None,
                 )
+                if outcome is not None:
+                    span.set(plan=outcome[0], cost=outcome[1])
+        return outcome
+
+    def _verify(self, prediction, true_plan: int) -> None:
+        """Feed the monitor an optimizer-verified prediction outcome."""
+        if prediction is None:
+            self.monitor.record_null()
         else:
-            executed_plan = prediction.plan_id
-            self.cache.get(executed_plan)
-            with trace.span("execute_plan") as execute_span:
-                stage_start = perf_counter()
-                execution_cost = float(
-                    self.plan_space.cost_at(x[None, :], executed_plan)[0]
-                )
-                self._stage_timers["execute"].observe(
-                    perf_counter() - stage_start
-                )
-                if trace.active:
-                    execute_span.set(plan=executed_plan, cost=execution_cost)
-            stage_start = perf_counter()
-            with trace.span("feedback") as feedback_span:
-                suspect = self.online.suspect_error(
-                    prediction, execution_cost
-                )
-                if trace.active:
-                    feedback_span.set(
-                        estimated_cost=prediction.estimated_cost,
-                        observed_cost=execution_cost,
-                        suspect=suspect,
-                    )
-                if suspect:
-                    reason = "negative_feedback"
-                    with trace.span("optimize") as verify_span:
-                        if trace.active:
-                            verify_span.set(
-                                reason=reason,
-                                breaker_before=self.breaker.state,
-                            )
-                        outcome = self._invoke_optimizer(x, reason)
-                        if trace.active:
-                            verify_span.set(
-                                breaker_after=self.breaker.state,
-                                available=outcome is not None,
-                            )
-                            if outcome is not None:
-                                verify_span.set(
-                                    plan=outcome[0], cost=outcome[1]
-                                )
-                    if outcome is not None:
-                        true_plan, __ = outcome
-                        self.monitor.record_prediction(
-                            prediction.plan_id,
-                            prediction.plan_id == true_plan,
-                        )
-                        if trace.active:
-                            feedback_span.set(verified_plan=true_plan)
-                    else:
-                        # Optimizer down: the suspicion stays
-                        # unverified; the executed plan stands and the
-                        # estimators see nothing.
-                        degraded = True
-                        if trace.active:
-                            feedback_span.set(verified=False)
-                else:
-                    # No ground truth available: the cost estimator
-                    # believes the prediction, and the estimators record
-                    # that belief.
-                    self.monitor.record_prediction(prediction.plan_id, True)
-                    # Trusted execution: optionally offer the point as
-                    # positive feedback (discounted + capped by the
-                    # policy).
-                    try:
-                        inserted = self.online.observe_unverified(
-                            x, prediction, execution_cost
-                        )
-                    except Exception:
-                        inserted = False
-                        degraded = True
-                        self._degraded_counters["predictor_insert"].inc()
-                    if self.online.positive_feedback is not None:
-                        outcome_label = "accepted" if inserted else "rejected"
-                        self._feedback_counters[outcome_label].inc()
-                        if trace.active:
-                            feedback_span.set(
-                                positive_feedback=outcome_label
-                            )
-            self._stage_timers["feedback"].observe(
-                perf_counter() - stage_start
+            self.monitor.record_prediction(
+                prediction.plan_id, prediction.plan_id == true_plan
             )
 
-        if reason:
-            self._reason_counters[reason].inc()
+    def _fallback(
+        self,
+        x: np.ndarray,
+        prediction,
+        optimal: "tuple[int, float]",
+        trace: "DecisionTrace | StageTrace",
+    ) -> "tuple[tuple[int, float], str]":
+        """Resilience step: the optimizer is unavailable, so serve the
+        best plan we hold; returns ``((plan, cost), source)``.
 
-        drift = False
-        if self.config.drift_response and self.monitor.drift_detected():
-            drift = True
-            self.drift_events += 1
-            self._drift_counter.inc()
-            with trace.span("drift") as drift_span:
-                if self._events is not None:
-                    # Journal the pre-drop picture: the monitor scores
-                    # that tripped the response and what it wiped out.
-                    self._events(
-                        "drift_drop",
-                        precision=float(self.monitor.precision_estimate),
-                        recall=float(self.monitor.recall_estimate),
-                        cached_plans=len(self.cache),
-                        points_held=int(self.online.sample_count),
-                    )
-                self.online.drop()
-                self.monitor.reset()
-                self.cache.clear()
+        Preference order: the current prediction if its plan is still
+        cached, then the plan served for the previous instance, then
+        the most recently used resident plan.  Raises
+        :class:`ResilienceError` only when the cache is empty — before
+        the first successful optimization there is nothing to serve.
+        """
+        last = self._last_plan_id
+        with trace.span("fallback") as span:
+            if prediction is not None and prediction.plan_id in self.cache:
+                plan, source = prediction.plan_id, "prediction"
+                self.cache.get(plan)
+            elif last is not None and last in self.cache:
+                plan, source = last, "last_plan"
+                self.cache.get(plan)
+            elif (plan := self.cache.most_recent()) is not None:
+                source = "cache"
+            else:
+                raise ResilienceError(
+                    f"optimizer unavailable for template "
+                    f"{self.plan_space.template.name!r} and the plan cache "
+                    "is empty: no executable plan exists"
+                )
+            cost = float(self.plan_space.cost_at(x[None, :], plan)[0])
+            suboptimality = cost / optimal[1] if optimal[1] > 0.0 else 1.0
+            if trace.active:
+                span.set(source=source, plan=plan, suboptimality=suboptimality)
+        self._fallback_counters[source].inc()
+        if self._events is not None:
+            self._events("fallback_served", source=source, plan=int(plan))
+        self._fallback_suboptimality.observe(suboptimality)
+        return (plan, cost), source
+
+    def _execute(
+        self, x: np.ndarray, prediction, trace: "DecisionTrace | StageTrace"
+    ) -> tuple[int, float]:
+        """Figure 1 execute step: run the predicted, cached plan."""
+        plan = prediction.plan_id
+        self.cache.get(plan)
+        with trace.span("execute_plan") as span:
+            cost = float(self.plan_space.cost_at(x[None, :], plan)[0])
+            if trace.active:
+                span.set(plan=plan, cost=cost)
+        return plan, cost
+
+    def _feedback(
+        self,
+        x: np.ndarray,
+        prediction,
+        execution_cost: float,
+        trace: "DecisionTrace | StageTrace",
+    ) -> tuple[str, bool]:
+        """Figure 1 feedback step; returns ``(reason, degraded)``.
+
+        A suspected misprediction is verified by the optimizer
+        (negative feedback); otherwise the cost estimator believes the
+        prediction and the point may be offered as positive feedback.
+        """
+        with trace.span("feedback") as span:
+            suspect = self.online.suspect_error(prediction, execution_cost)
+            if trace.active:
+                span.set(
+                    estimated_cost=prediction.estimated_cost,
+                    observed_cost=execution_cost,
+                    suspect=suspect,
+                )
+            if suspect:
+                outcome = self._optimize(x, "negative_feedback", trace)
+                if outcome is None:
+                    # Optimizer down: the suspicion stays unverified;
+                    # the executed plan stands and the estimators see
+                    # nothing.
+                    if trace.active:
+                        span.set(verified=False)
+                    return "negative_feedback", True
+                self._verify(prediction, outcome[0])
                 if trace.active:
-                    drift_span.set(
-                        response=["drop_synopses", "reset_monitor", "clear_cache"]
-                    )
+                    span.set(verified_plan=outcome[0])
+                return "negative_feedback", False
+            self.monitor.record_prediction(prediction.plan_id, True)
+            # Trusted execution: optionally offer the point as positive
+            # feedback (discounted + capped by the policy).
+            degraded = False
+            try:
+                inserted = self.online.observe_unverified(
+                    x, prediction, execution_cost
+                )
+            except Exception:
+                inserted, degraded = False, True
+                self._degraded_counters["predictor_insert"].inc()
+            if self.online.positive_feedback is not None:
+                label = "accepted" if inserted else "rejected"
+                self._feedback_counters[label].inc()
+                if trace.active:
+                    span.set(positive_feedback=label)
+        return "", degraded
 
+    def _drift(self, trace: "DecisionTrace | StageTrace") -> bool:
+        """Figure 1 drift step: when estimated precision collapses, drop
+        the synopses, reset the monitor and clear the cache."""
+        if not (self.config.drift_response and self.monitor.drift_detected()):
+            return False
+        self.drift_events += 1
+        self._drift_counter.inc()
+        with trace.span("drift") as span:
+            if self._events is not None:
+                # Journal the pre-drop picture: the monitor scores that
+                # tripped the response and what it wiped out.
+                self._events(
+                    "drift_drop",
+                    precision=float(self.monitor.precision_estimate),
+                    recall=float(self.monitor.recall_estimate),
+                    cached_plans=len(self.cache),
+                    points_held=int(self.online.sample_count),
+                )
+            self.online.drop()
+            self.monitor.reset()
+            self.cache.clear()
+            if trace.active:
+                span.set(
+                    response=["drop_synopses", "reset_monitor", "clear_cache"]
+                )
+        return True
+
+    def _record(
+        self,
+        x: np.ndarray,
+        prediction,
+        reason: str,
+        executed: "tuple[int, float]",
+        optimal: "tuple[int, float]",
+        **outcome,
+    ) -> ExecutionRecord:
+        """Bookkeeping: the instance's record, last plan and regret."""
         record = ExecutionRecord(
             template=self.plan_space.template.name,
             point=x,
             predicted=None if prediction is None else prediction.plan_id,
             confidence=0.0 if prediction is None else prediction.confidence,
-            optimizer_invoked=self.optimizer_invocations
-            > invocations_before,
             invocation_reason=reason,
-            executed_plan=executed_plan,
-            execution_cost=execution_cost,
-            optimal_plan=optimal_plan,
-            optimal_cost=optimal_cost,
-            drift_triggered=drift,
-            degraded=degraded,
-            fallback_source=fallback_source,
+            executed_plan=executed[0],
+            execution_cost=executed[1],
+            optimal_plan=optimal[0],
+            optimal_cost=optimal[1],
+            **outcome,
         )
-        self._last_plan_id = executed_plan
+        self._last_plan_id = record.executed_plan
         self.records.append(record)
         self._regret_counter.inc(max(0.0, record.suboptimality - 1.0))
         return record

@@ -384,59 +384,6 @@ class HistogramPredictor(PlanPredictor):
             counts[:, safe, columns] > 0.0,
         )
 
-    def _emit_lookup_spans(
-        self,
-        trace: "DecisionTrace",
-        z_values: np.ndarray,
-        counts: np.ndarray,
-        avg_costs: np.ndarray,
-    ) -> np.ndarray:
-        """Annotate per-transform lookup spans plus the aggregate span
-        from already-computed batch-of-one estimates; returns the
-        aggregated per-plan counts ``(plans,)``."""
-        for index in range(len(self.ensemble)):
-            with trace.span("transform") as span:
-                z = float(z_values[index, 0])
-                row = counts[index, :, 0]
-                span.set(
-                    index=index,
-                    z=z,
-                    z_range=[z - self.delta, z + self.delta],
-                    counts=[float(c) for c in row],
-                    avg_costs=[
-                        float(avg_costs[index, plan, 0])
-                        if row[plan] > 0
-                        else None
-                        for plan in range(self.plan_count)
-                    ],
-                    vote=int(row.argmax()) if row.max() > 0.0 else None,
-                )
-        aggregated = self._aggregate(counts)[:, 0]
-        with trace.span("aggregate") as span:
-            span.set(
-                method=self.aggregation,
-                counts=[float(c) for c in aggregated],
-            )
-        return aggregated
-
-    def median_counts(
-        self, x: np.ndarray, trace: "DecisionTrace | None" = None
-    ) -> np.ndarray:
-        """Per-plan range-count aggregated across the ``t`` transforms
-        (median by default; mean under the ablation setting).
-
-        A batch of one through the struct-of-arrays core.  With an
-        active ``trace``, every transform's density lookup gets its own
-        span (z-value, per-plan counts and average costs, the
-        transform's argmax vote) plus an ``aggregate`` span; the
-        returned counts are identical either way.
-        """
-        x = self._check_point(x)
-        z_values, counts, avg_costs = self._range_estimates(x[None, :])
-        if trace is not None and trace.active:
-            return self._emit_lookup_spans(trace, z_values, counts, avg_costs)
-        return self._aggregate(counts)[:, 0]
-
     def predict(
         self, x: np.ndarray, trace: "DecisionTrace | None" = None
     ) -> "Prediction | None":
@@ -461,9 +408,29 @@ class HistogramPredictor(PlanPredictor):
         estimates the untraced path uses."""
         x = self._check_point(x)
         z_values, counts_tpm, avg_costs = self._range_estimates(x[None, :])
-        counts = self._emit_lookup_spans(
-            trace, z_values, counts_tpm, avg_costs
-        )
+        for index in range(len(self.ensemble)):
+            with trace.span("transform") as span:
+                z = float(z_values[index, 0])
+                row = counts_tpm[index, :, 0]
+                span.set(
+                    index=index,
+                    z=z,
+                    z_range=[z - self.delta, z + self.delta],
+                    counts=[float(c) for c in row],
+                    avg_costs=[
+                        float(avg_costs[index, plan, 0])
+                        if row[plan] > 0
+                        else None
+                        for plan in range(self.plan_count)
+                    ],
+                    vote=int(row.argmax()) if row.max() > 0.0 else None,
+                )
+        counts = self._aggregate(counts_tpm)[:, 0]
+        with trace.span("aggregate") as span:
+            span.set(
+                method=self.aggregation,
+                counts=[float(c) for c in counts],
+            )
         max_count = float(counts.max())
         threshold = (
             None

@@ -1,28 +1,28 @@
 """Deterministic in-process stage profiler for the decision hot path.
 
-Rides the span seam of :mod:`repro.obs.tracing`: every stage the
-framework already brackets with ``trace.span(...)`` — normalize →
-density lookup (per-transform) → vote aggregation → noise elimination →
-confidence → decide → execute → feedback → drift — is timed into
-per-template accumulators keyed by the full stage *path*, so both
-cumulative and self time fall out (self = cumulative minus the direct
-children's cumulative).
+Folds the span closes of :mod:`repro.obs.tracing`: when the profiler
+sampled an execution, every span its trace closes — normalize → density
+lookup (per-transform) → vote aggregation → noise elimination →
+confidence → decide → execute → feedback → drift — reports its full
+stage *path* and wall, accumulated per template so both cumulative and
+self time fall out (self = cumulative minus the direct children's
+cumulative).
 
 Three properties are load-bearing:
 
 * **Decisions never change.**  Profiling consumes no RNG and never
-  flips ``trace.active`` — a profiled-but-unsampled execution gets a
-  :class:`ProfileTrace` whose ``active`` stays ``False``, so attribute
+  flips ``trace.active`` — a profiled-but-unsampled execution gets an
+  inactive :class:`~repro.obs.tracing.DecisionTrace`, so attribute
   computation stays skipped and ``execute_batch`` keeps its precomputed
   vectorized predictions.  The lockstep parity test in
   ``tests/obs/test_profiling.py`` pins this bit-for-bit.
 * **O(1) when disabled.**  With ``ProfileConfig.enabled`` false the
-  tracer owns no profiler object at all; unsampled executions return
-  the shared ``NOOP_TRACE`` singleton exactly as before.
-* **Deterministic sampling, injected clock.**  Every ``interval``-th
+  tracer owns no profiler object at all; unsampled executions keep
+  getting the tracer's one reusable stage trace.
+* **Deterministic sampling, one clock.**  Every ``interval``-th
   execution per template is profiled (a plain counter, no RNG), and the
-  clock is injectable — tests drive a fake clock and assert exact
-  stage times; production defaults to ``perf_counter``.
+  times are the trace's own span walls, read on the tracer's injectable
+  clock — tests drive a fake clock and assert exact stage times.
 
 Rendering: :meth:`StageProfiler.report` returns the aggregate,
 :func:`render_profile` draws the text stage tree, and
@@ -32,23 +32,14 @@ self-microseconds stacks in the collapsed format flamegraph tools eat.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
-from time import perf_counter
 from typing import Any
 
 from repro.config import ProfileConfig
 
 __all__ = [
-    "ProfileFrame",
-    "ProfileTrace",
     "StageProfiler",
     "render_profile",
 ]
-
-#: Name of the implicit root stage wrapping one whole execution (the
-#: same name ``DecisionTrace`` gives its root span).
-ROOT_STAGE = "decision"
 
 
 class _PathStat:
@@ -61,153 +52,60 @@ class _PathStat:
         self.seconds = 0.0
 
 
-class _SilentSpan:
-    """Attribute sink yielded by :meth:`ProfileTrace.span`."""
-
-    __slots__ = ()
-
-    def set(self, **attributes: Any) -> "_SilentSpan":
-        return self
-
-
-_SILENT_SPAN = _SilentSpan()
-
-
-class ProfileFrame:
-    """One execution's stage walls, folded into the profiler at the end.
-
-    The frame keeps a stack of ``(stage name, start time)`` mirroring
-    the open spans; ``exit`` records ``(full path, duration)`` locally
-    and :meth:`complete` folds the whole execution into the owning
-    :class:`StageProfiler` in one pass — so a raised execution (whose
-    spans are closed by ``DecisionTrace.finish``) still lands.
-    """
-
-    __slots__ = ("_clock", "_entries", "_path", "_profiler", "_starts", "_template")
-
-    def __init__(
-        self,
-        profiler: "StageProfiler",
-        template: str,
-        clock: Callable[[], float],
-    ) -> None:
-        self._profiler = profiler
-        self._template = template
-        self._clock = clock
-        self._path: list[str] = [ROOT_STAGE]
-        self._starts: list[float] = [clock()]
-        self._entries: list[tuple[tuple[str, ...], float]] = []
-
-    def enter(self, name: str) -> None:
-        self._path.append(name)
-        self._starts.append(self._clock())
-
-    def exit(self) -> None:
-        if len(self._starts) <= 1:
-            return
-        start = self._starts.pop()
-        path = tuple(self._path)
-        self._path.pop()
-        self._entries.append((path, self._clock() - start))
-
-    def complete(self) -> None:
-        """Close anything still open, time the root, fold the frame."""
-        while len(self._starts) > 1:
-            self.exit()
-        start = self._starts.pop()
-        self._entries.append(((ROOT_STAGE,), self._clock() - start))
-        self._profiler._fold(self._template, self._entries)
-
-
-class ProfileTrace:
-    """Trace stand-in for profiled-but-unsampled executions.
-
-    ``active`` stays ``False`` — exactly like ``NOOP_TRACE`` — so
-    callers skip attribute computation and the batch path keeps its
-    precomputed predictions; only the stage walls are read.  Decisions
-    are therefore bit-identical to the unprofiled run.
-    """
-
-    __slots__ = ("profile",)
-
-    active = False
-
-    def __init__(self, profile: ProfileFrame) -> None:
-        self.profile = profile
-
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[_SilentSpan]:
-        self.profile.enter(name)
-        try:
-            yield _SILENT_SPAN
-        finally:
-            self.profile.exit()
-
-    def annotate(self, **attributes: Any) -> None:
-        return None
-
-
 class StageProfiler:
     """Per-template stage-time aggregation over many executions.
 
     One instance is shared by every session of a framework (or owned by
     a standalone session), so ``report()`` covers the whole deployment.
-    ``begin`` is the sampling gate: it returns a :class:`ProfileFrame`
-    for every ``interval``-th execution of each template and ``None``
-    otherwise — deterministic, counter-based, RNG-free.
+    :meth:`sample` is the sampling gate — true for every
+    ``interval``-th execution of each template, deterministic,
+    counter-based, RNG-free — and the sampled execution's trace calls
+    :meth:`fold` once per span close.
     """
 
-    def __init__(
-        self,
-        config: "ProfileConfig | None" = None,
-        clock: "Callable[[], float] | None" = None,
-    ) -> None:
+    def __init__(self, config: "ProfileConfig | None" = None) -> None:
         self.config = config if config is not None else ProfileConfig(enabled=True)
-        self._clock = clock if clock is not None else perf_counter
         self._stats: dict[str, dict[tuple[str, ...], _PathStat]] = {}
-        self._order: dict[str, dict[tuple[str, ...], int]] = {}
         self._seen: dict[str, int] = {}
         self._profiled: dict[str, int] = {}
         self._dropped_paths: dict[str, int] = {}
 
-    def begin(self, template: str) -> "ProfileFrame | None":
-        """Sampling gate: a frame for every ``interval``-th execution."""
+    def sample(self, template: str) -> bool:
+        """Sampling gate: true for every ``interval``-th execution."""
         seen = self._seen.get(template, 0)
         self._seen[template] = seen + 1
         if seen % self.config.interval != 0:
-            return None
-        return ProfileFrame(self, template, self._clock)
-
-    def _fold(self, template: str, entries: list[tuple[tuple[str, ...], float]]) -> None:
-        stats = self._stats.setdefault(template, {})
-        order = self._order.setdefault(template, {})
+            return False
         self._profiled[template] = self._profiled.get(template, 0) + 1
-        for path, seconds in entries:
-            stat = stats.get(path)
-            if stat is None:
-                if len(stats) >= self.config.max_paths:
-                    # Bounded memory: past the cap new paths are counted
-                    # as dropped instead of accumulated (report() shows
-                    # the drop count so truncation is never silent).
-                    self._dropped_paths[template] = (
-                        self._dropped_paths.get(template, 0) + 1
-                    )
-                    continue
-                stat = stats[path] = _PathStat()
-                order[path] = len(order)
-            stat.calls += 1
-            stat.seconds += seconds
+        return True
+
+    def fold(self, template: str, path: tuple[str, ...], seconds: float) -> None:
+        """Accumulate one closed span's wall under its stage path."""
+        stats = self._stats.setdefault(template, {})
+        stat = stats.get(path)
+        if stat is None:
+            if len(stats) >= self.config.max_paths:
+                # Bounded memory: past the cap new paths are counted as
+                # dropped instead of accumulated (report() shows the
+                # drop count so truncation is never silent).
+                self._dropped_paths[template] = (
+                    self._dropped_paths.get(template, 0) + 1
+                )
+                return
+            stat = stats[path] = _PathStat()
+        stat.calls += 1
+        stat.seconds += seconds
 
     def reset(self) -> None:
         self._stats.clear()
-        self._order.clear()
         self._seen.clear()
         self._profiled.clear()
         self._dropped_paths.clear()
 
     def _preorder(self, template: str) -> list[tuple[str, ...]]:
         """Paths parent-before-children, siblings in first-seen order."""
-        order = self._order.get(template, {})
+        stats = self._stats.get(template, {})
+        order = {path: index for index, path in enumerate(stats)}
 
         def key(path: tuple[str, ...]) -> tuple[int, ...]:
             return tuple(
@@ -215,7 +113,7 @@ class StageProfiler:
                 for depth in range(len(path))
             )
 
-        return sorted(self._stats.get(template, {}), key=key)
+        return sorted(stats, key=key)
 
     def report(self) -> dict[str, Any]:
         """Aggregate stage table: per template, per path, calls + time.

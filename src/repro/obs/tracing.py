@@ -6,10 +6,21 @@ asks its :class:`DecisionTracer` for a trace.  Sampled executions get a
 normalize → per-transform density lookup → confidence check → noise
 elimination → the resilience fallback chain — finished with the
 execution's outcome and admitted to a bounded per-template
-:class:`FlightRecorder`.  Unsampled executions get the shared
-:data:`NOOP_TRACE` singleton whose every method is a no-op, so the hot
-path stays O(1) and allocation-free when sampling is off; callers guard
-expensive attribute computation behind ``if trace.active:``.
+:class:`FlightRecorder`.  Unsampled executions get the tracer's one
+reusable :class:`StageTrace`, which times only the four stage spans and
+absorbs every other call, so the hot path stays O(1) and
+allocation-free when sampling is off; callers guard expensive attribute
+computation behind ``if trace.active:``.
+
+Span open and close are the only per-decision timing points: a trace
+reads the tracer's clock once per span boundary, and every close
+reports its wall to two consumers — a top-level ``predict`` /
+``optimize`` / ``execute_plan`` / ``feedback`` span observes
+``ppc_stage_seconds`` (see :data:`STAGE_SPANS`), and when the
+:class:`~repro.obs.profiling.StageProfiler` sampled the execution it
+folds the span's path.  A profiled execution the tracer did not sample
+gets an inactive :class:`DecisionTrace`: spans are timed, nothing is
+annotated or recorded.
 
 Sampling is deterministic — no RNG draw is consumed, so a traced run
 produces bit-identical decisions to an untraced one (see the parity
@@ -26,8 +37,7 @@ worth of traces.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
@@ -35,25 +45,35 @@ import json
 
 from repro.config import TraceConfig
 from repro.obs import names
-from repro.obs.profiling import ProfileFrame, ProfileTrace, StageProfiler
-from repro.obs.registry import MetricsRegistry
+from repro.obs.profiling import StageProfiler
+from repro.obs.registry import LatencyHistogram, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.framework import ExecutionRecord
 
 __all__ = [
-    "NOOP_TRACE",
+    "STAGE_SPANS",
     "DecisionTrace",
     "DecisionTracer",
     "FlightRecorder",
-    "NoopTrace",
     "Span",
+    "StageTrace",
     "dumps_jsonl",
     "loads_jsonl",
     "render_trace",
     "trace_from_dict",
     "trace_to_dict",
 ]
+
+#: Top-level span name → its ``ppc_stage_seconds`` stage label.  A span
+#: of these names nested in another (the negative-feedback ``optimize``
+#: inside ``feedback``) is not a stage.
+STAGE_SPANS = {
+    "predict": "predict",
+    "optimize": "optimize",
+    "execute_plan": "execute",
+    "feedback": "feedback",
+}
 
 
 def _jsonable(value: Any) -> Any:
@@ -79,7 +99,8 @@ class Span:
     """One named, timed step of a decision, with nested children.
 
     ``start`` and ``duration`` are seconds relative to the owning
-    trace's origin (``perf_counter`` based — monotonic, not wall-clock).
+    trace's origin, read on the tracer's clock (``perf_counter`` by
+    default — monotonic, not wall-clock).
     ``status`` is ``"ok"`` unless the guarded block raised.
     """
 
@@ -139,60 +160,118 @@ class _NoopSpan:
 _NOOP_SPAN = _NoopSpan()
 
 
-class NoopTrace:
-    """Shared do-nothing trace handed out when sampling declines.
+class _StageSpan(_NoopSpan):
+    """A :class:`StageTrace` stage span: times its block on the tracer
+    clock and observes the stage histogram when the block exits
+    cleanly."""
+
+    __slots__ = ("_histogram", "_start", "_trace")
+
+    def __init__(self, trace: "StageTrace", histogram: LatencyHistogram) -> None:
+        self._trace = trace
+        self._histogram = histogram
+        self._start = 0.0
+
+    def __enter__(self) -> "_StageSpan":
+        self._trace._open = True
+        self._start = self._trace._clock()
+        return self
+
+    def __exit__(self, exc_type: object, *exc_info: object) -> None:
+        seconds = self._trace._clock() - self._start
+        self._trace._open = False
+        if exc_type is None:
+            self._histogram.observe(seconds)
+
+
+class StageTrace:
+    """The reusable trace of unsampled executions, one per tracer.
 
     ``active`` is False; callers use it to skip attribute computation.
-    A single module-level instance (:data:`NOOP_TRACE`) serves every
-    unsampled execution, so the disabled path allocates nothing.
+    A top-level span named in :data:`STAGE_SPANS` times itself into its
+    stage histogram; every other span (and any span opened inside a
+    stage) is the shared no-op.  Its spans are preallocated, so the
+    unsampled path allocates nothing.
     """
 
-    __slots__ = ()
+    __slots__ = ("_clock", "_open", "_spans")
 
     active = False
-    profile: "ProfileFrame | None" = None
+
+    def __init__(
+        self,
+        stages: Mapping[str, LatencyHistogram],
+        clock: Callable[[], float],
+    ) -> None:
+        self._clock = clock
+        self._open = False
+        self._spans = {
+            name: _StageSpan(self, histogram) for name, histogram in stages.items()
+        }
 
     def span(self, name: str, **attributes: Any) -> _NoopSpan:
+        if not self._open:
+            stage = self._spans.get(name)
+            if stage is not None:
+                return stage
         return _NOOP_SPAN
 
     def annotate(self, **attributes: Any) -> None:
         return None
 
+    def charge(self, name: str, seconds: float) -> None:
+        """Observe a stage timed outside any span (the batch prefetch's
+        amortized share of its one vectorized predict)."""
+        self._spans[name]._histogram.observe(seconds)
 
-NOOP_TRACE = NoopTrace()
+    def finish(self, outcome: Mapping[str, Any]) -> None:
+        return None
 
 
 class DecisionTrace:
-    """The full story of one cache prediction, as a tree of spans."""
+    """The full story of one cache prediction, as a tree of spans.
+
+    ``stages`` maps top-level span names to their stage histograms
+    (:data:`STAGE_SPANS`); ``profiler`` is set when the stage profiler
+    sampled this execution.  An inactive trace (profiled, not sampled
+    by the tracer) times its spans for those consumers only.
+    """
 
     __slots__ = (
+        "_clock",
+        "_profiler",
         "_stack",
+        "_stages",
         "_t0",
+        "active",
         "decision",
         "outcome",
         "point",
-        "profile",
         "root",
         "seq",
         "template",
     )
-
-    active = True
 
     def __init__(
         self,
         template: str,
         seq: int,
         decision: str,
-        profile: "ProfileFrame | None" = None,
+        clock: Callable[[], float] = perf_counter,
+        stages: "Mapping[str, LatencyHistogram] | None" = None,
+        profiler: "StageProfiler | None" = None,
+        active: bool = True,
     ) -> None:
         self.template = template
         self.seq = seq
         self.decision = decision
+        self.active = active
         self.point: list[float] | None = None
         self.outcome: dict[str, Any] | None = None
-        self.profile = profile
-        self._t0 = perf_counter()
+        self._clock = clock
+        self._stages = stages or {}
+        self._profiler = profiler
+        self._t0 = clock()
         self.root = Span("decision")
         self._stack: list[Span] = [self.root]
 
@@ -201,43 +280,60 @@ class DecisionTrace:
     # everyone else goes through the ``span()`` context manager, which
     # guarantees the close and records error status on exceptions.
     def open_span(self, name: str, **attributes: Any) -> Span:
-        span = Span(name, perf_counter() - self._t0)
+        span = Span(name, self._clock() - self._t0)
         if attributes:
             span.attributes.update(attributes)
         self._stack[-1].children.append(span)
         self._stack.append(span)
-        if self.profile is not None:
-            self.profile.enter(name)
         return span
 
     def close_span(self) -> None:
         if len(self._stack) > 1:
-            span = self._stack.pop()
-            span.duration = perf_counter() - self._t0 - span.start
-            if self.profile is not None:
-                self.profile.exit()
+            span = self._stack[-1]
+            span.duration = self._clock() - self._t0 - span.start
+            if len(self._stack) == 2 and span.status == "ok":
+                histogram = self._stages.get(span.name)
+                if histogram is not None:
+                    histogram.observe(span.duration)
+            if self._profiler is not None:
+                path = tuple([open_span.name for open_span in self._stack])
+                self._profiler.fold(self.template, path, span.duration)
+            self._stack.pop()
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        """Open a child span for the duration of the ``with`` block."""
-        span = self.open_span(name, **attributes)
-        try:
-            yield span
-        except BaseException:
-            span.status = "error"
-            raise
-        finally:
-            self.close_span()
+    def span(self, name: str, **attributes: Any) -> "DecisionTrace":
+        """Open a child span for the duration of the ``with`` block;
+        ``with trace.span(name) as span:`` binds the new :class:`Span`.
+        The trace is its own context manager, so a span costs no
+        allocation beyond the :class:`Span` itself."""
+        self.open_span(name, **attributes)
+        return self
+
+    def __enter__(self) -> Span:
+        return self._stack[-1]
+
+    def __exit__(self, exc_type: object, *exc_info: object) -> None:
+        if exc_type is not None:
+            self._stack[-1].status = "error"
+        self.close_span()
 
     def annotate(self, **attributes: Any) -> None:
         """Attach attributes to the innermost open span."""
         self._stack[-1].attributes.update(attributes)
 
+    def charge(self, name: str, seconds: float) -> None:
+        """Report a top-level stage timed outside any span (the batch
+        prefetch's amortized share of its one vectorized predict)."""
+        self._stages[name].observe(seconds)
+        if self._profiler is not None:
+            self._profiler.fold(self.template, (self.root.name, name), seconds)
+
     def finish(self, outcome: Mapping[str, Any]) -> None:
         """Close any spans left open and seal the trace's outcome."""
         while len(self._stack) > 1:
             self.close_span()
-        self.root.duration = perf_counter() - self._t0
+        self.root.duration = self._clock() - self._t0
+        if self._profiler is not None:
+            self._profiler.fold(self.template, (self.root.name,), self.root.duration)
         self.outcome = dict(outcome)
 
     @property
@@ -359,9 +455,11 @@ class DecisionTracer:
     """Per-template sampler + flight recorder for decision traces.
 
     Owned by one :class:`~repro.core.framework.TemplateSession`;
-    ``begin`` is called once per execute and returns either a live
-    :class:`DecisionTrace` or :data:`NOOP_TRACE`, ``finish`` seals the
-    trace with the execution's outcome and arms the error-bias burst.
+    ``begin`` is called once per execute and returns a live
+    :class:`DecisionTrace` or the reusable :class:`StageTrace`,
+    ``finish`` seals the trace with the execution's outcome and arms
+    the error-bias burst.  ``clock`` times every span of every trace
+    (tests inject a fake one).
     """
 
     def __init__(
@@ -370,10 +468,12 @@ class DecisionTracer:
         config: TraceConfig | None = None,
         metrics: MetricsRegistry | None = None,
         profiler: "StageProfiler | None" = None,
+        clock: "Callable[[], float] | None" = None,
     ) -> None:
         self.template = template
         self.config = config if config is not None else TraceConfig()
         self.profiler = profiler
+        self._clock = clock if clock is not None else perf_counter
         self.recorder = FlightRecorder(
             capacity=self.config.capacity,
             error_capacity=self.config.error_capacity,
@@ -397,10 +497,15 @@ class DecisionTracer:
             for decision in names.SAMPLER_DECISIONS
         }
         self._sampled = dict.fromkeys(names.SAMPLER_DECISIONS, 0)
+        self._stages = {
+            span: registry.histogram(
+                names.STAGE_SECONDS, template=template, stage=stage
+            )
+            for span, stage in STAGE_SPANS.items()
+        }
+        self._unsampled = StageTrace(self._stages, self._clock)
 
-    def begin(
-        self, force: bool = False
-    ) -> "DecisionTrace | ProfileTrace | NoopTrace":
+    def begin(self, force: bool = False) -> "DecisionTrace | StageTrace":
         """Sample this execution; deterministic, consumes no RNG."""
         seq = self._seq
         self._seq += 1
@@ -423,22 +528,24 @@ class DecisionTracer:
         # deterministic counter), so stage times keep flowing at trace
         # interval 0 — but it never flips ``active``: a profiled,
         # trace-skipped execution behaves exactly like an unsampled one.
-        profile = (
-            self.profiler.begin(self.template)
-            if self.profiler is not None
-            else None
+        profiled = self.profiler is not None and self.profiler.sample(
+            self.template
         )
-        if decision == "skipped":
-            if profile is not None:
-                return ProfileTrace(profile)
-            return NOOP_TRACE
+        if decision == "skipped" and not profiled:
+            return self._unsampled
         return DecisionTrace(
-            template=self.template, seq=seq, decision=decision, profile=profile
+            self.template,
+            seq,
+            decision,
+            clock=self._clock,
+            stages=self._stages,
+            profiler=self.profiler if profiled else None,
+            active=decision != "skipped",
         )
 
     def finish(
         self,
-        trace: "DecisionTrace | ProfileTrace | NoopTrace",
+        trace: "DecisionTrace | StageTrace",
         record: "ExecutionRecord | None" = None,
         error: BaseException | None = None,
     ) -> None:
@@ -453,9 +560,8 @@ class DecisionTracer:
         )
         if incident and self.config.enabled and self.config.error_burst:
             self._burst_left = max(self._burst_left, self.config.error_burst)
-        if not isinstance(trace, DecisionTrace):
-            if trace.profile is not None:
-                trace.profile.complete()
+        if not trace.active:
+            trace.finish({})
             return
         if error is not None:
             outcome: dict[str, Any] = {
@@ -480,8 +586,6 @@ class DecisionTracer:
         else:
             outcome = {}
         trace.finish(outcome)
-        if trace.profile is not None:
-            trace.profile.complete()
         evicted = self.recorder.admit(trace)
         self._recorded_counter.inc()
         if evicted:

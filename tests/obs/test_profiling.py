@@ -8,12 +8,8 @@ from repro.config import PPCConfig, ProfileConfig, TraceConfig
 from repro.core.framework import PPCFramework, TemplateSession
 from repro.exceptions import ConfigurationError
 from repro.obs import names as metric_names
-from repro.obs.profiling import (
-    ProfileTrace,
-    StageProfiler,
-    render_profile,
-)
-from repro.obs.tracing import NOOP_TRACE
+from repro.obs.profiling import StageProfiler, render_profile
+from repro.obs.tracing import DecisionTrace, DecisionTracer
 from repro.tpch import plan_space_for
 from repro.workload import RandomTrajectoryWorkload
 
@@ -28,6 +24,23 @@ class FakeClock:
         now = self.t
         self.t += 1.0
         return now
+
+
+def _profiled_tracer(
+    interval: int = 1, max_paths: int = 256
+) -> tuple[DecisionTracer, StageProfiler]:
+    """A tracer that never samples on its own, with a profiler sampling
+    every ``interval``-th execution, both timed on a :class:`FakeClock`."""
+    profiler = StageProfiler(
+        ProfileConfig(enabled=True, interval=interval, max_paths=max_paths)
+    )
+    tracer = DecisionTracer(
+        "T",
+        config=TraceConfig(enabled=False),
+        profiler=profiler,
+        clock=FakeClock(),
+    )
+    return tracer, profiler
 
 
 def _hot_config(**overrides) -> PPCConfig:
@@ -56,13 +69,13 @@ class TestStageProfilerClock:
     def test_exact_accumulation_under_fake_clock(self):
         # Each clock call ticks 1s: root opens at t=0; stage "a" spans
         # t=1..2 and "b" t=3..4 (1s each); the root closes at t=5.
-        profiler = StageProfiler(ProfileConfig(enabled=True), clock=FakeClock())
-        frame = profiler.begin("T")
-        frame.enter("a")
-        frame.exit()
-        frame.enter("b")
-        frame.exit()
-        frame.complete()
+        tracer, profiler = _profiled_tracer()
+        trace = tracer.begin()
+        with trace.span("a"):
+            pass
+        with trace.span("b"):
+            pass
+        tracer.finish(trace)
         rows = {
             tuple(row["path"]): row
             for row in profiler.report()["templates"]["T"]["stages"]
@@ -75,13 +88,11 @@ class TestStageProfilerClock:
 
     def test_nested_spans_split_self_time(self):
         # predict spans t=1..4 (3s) and contains transform t=2..3 (1s).
-        profiler = StageProfiler(ProfileConfig(enabled=True), clock=FakeClock())
-        frame = profiler.begin("T")
-        frame.enter("predict")
-        frame.enter("transform")
-        frame.exit()
-        frame.exit()
-        frame.complete()
+        tracer, profiler = _profiled_tracer()
+        trace = tracer.begin()
+        with trace.span("predict"), trace.span("transform"):
+            pass
+        tracer.finish(trace)
         rows = {
             tuple(row["path"]): row
             for row in profiler.report()["templates"]["T"]["stages"]
@@ -92,11 +103,11 @@ class TestStageProfilerClock:
         assert rows[("decision", "predict", "transform")]["cum_seconds"] == 1.0
 
     def test_complete_drains_open_spans(self):
-        # A raised execution leaves spans open; complete() closes them.
-        profiler = StageProfiler(ProfileConfig(enabled=True), clock=FakeClock())
-        frame = profiler.begin("T")
-        frame.enter("predict")
-        frame.complete()
+        # A raised execution leaves spans open; finishing closes them.
+        tracer, profiler = _profiled_tracer()
+        trace = tracer.begin()
+        trace.open_span("predict")
+        tracer.finish(trace, error=RuntimeError("predictor down"))
         rows = {
             tuple(row["path"]): row
             for row in profiler.report()["templates"]["T"]["stages"]
@@ -106,36 +117,32 @@ class TestStageProfilerClock:
 
 class TestSampling:
     def test_every_interval_th_execution_profiled(self):
-        profiler = StageProfiler(
-            ProfileConfig(enabled=True, interval=3), clock=FakeClock()
-        )
-        frames = [profiler.begin("T") for _ in range(9)]
-        sampled = [i for i, frame in enumerate(frames) if frame is not None]
+        tracer, profiler = _profiled_tracer(interval=3)
+        traces = [tracer.begin() for _ in range(9)]
+        sampled = [
+            i for i, trace in enumerate(traces)
+            if isinstance(trace, DecisionTrace)
+        ]
         assert sampled == [0, 3, 6]
-        for frame in frames:
-            if frame is not None:
-                frame.complete()
+        for trace in traces:
+            tracer.finish(trace)
         payload = profiler.report()["templates"]["T"]
         assert payload["executions_seen"] == 9
         assert payload["executions_profiled"] == 3
 
     def test_counters_are_per_template(self):
-        profiler = StageProfiler(
-            ProfileConfig(enabled=True, interval=2), clock=FakeClock()
-        )
-        assert profiler.begin("A") is not None
-        assert profiler.begin("B") is not None  # B's own counter starts at 0
-        assert profiler.begin("A") is None
+        profiler = StageProfiler(ProfileConfig(enabled=True, interval=2))
+        assert profiler.sample("A")
+        assert profiler.sample("B")  # B's own counter starts at 0
+        assert not profiler.sample("A")
 
     def test_path_cap_counts_drops(self):
-        profiler = StageProfiler(
-            ProfileConfig(enabled=True, max_paths=8), clock=FakeClock()
-        )
-        frame = profiler.begin("T")
+        tracer, profiler = _profiled_tracer(max_paths=8)
+        trace = tracer.begin()
         for i in range(16):
-            frame.enter(f"stage_{i}")
-            frame.exit()
-        frame.complete()
+            with trace.span(f"stage_{i}"):
+                pass
+        tracer.finish(trace)
         payload = profiler.report()["templates"]["T"]
         assert payload["paths_dropped"] > 0
         assert len(payload["stages"]) <= 8
@@ -151,8 +158,8 @@ class TestDisabledIsFree:
 
     def test_unsampled_executions_reuse_noop_singleton(self):
         # With profiling off and tracing past its head, begin() must
-        # return the shared NOOP_TRACE object — no per-execution
-        # allocation at all.
+        # return the tracer's one reusable stage trace — no
+        # per-execution allocation at all.
         session = TemplateSession(
             plan_space_for("Q1"), _hot_config(), seed=17
         )
@@ -160,7 +167,9 @@ class TestDisabledIsFree:
             session.config.trace.head + 4
         ):
             session.execute(x)
-        assert session.tracer.begin() is NOOP_TRACE
+        unsampled = session.tracer.begin()
+        assert unsampled.active is False
+        assert session.tracer.begin() is unsampled
 
     def test_framework_report_is_none_when_disabled(self):
         framework = PPCFramework(_hot_config(), seed=17)
@@ -214,7 +223,7 @@ class TestLockstepParity:
 
     def test_batch_parity_with_profiling(self):
         # The batch path's precomputed vectorized predictions survive:
-        # ProfileTrace.active stays False, so profiled batch executions
+        # a profiled trace stays inactive, so profiled batch executions
         # decide exactly like unprofiled ones.
         sessions = {
             "off": TemplateSession(
@@ -247,8 +256,9 @@ class TestLockstepParity:
             assert on_record.confidence == off_record.confidence
 
     def test_profile_trace_active_is_false(self):
-        profiler = StageProfiler(ProfileConfig(enabled=True))
-        trace = ProfileTrace(profiler.begin("T"))
+        tracer, __ = _profiled_tracer()
+        trace = tracer.begin()
+        assert isinstance(trace, DecisionTrace)
         assert trace.active is False
         with trace.span("predict") as span:
             assert span.set(anything=1) is span
@@ -308,10 +318,8 @@ class TestDeepSpansAndOutput:
         assert "no executions profiled" in render_profile(profiler.report())
 
     def test_reset_clears_state(self):
-        profiler = StageProfiler(
-            ProfileConfig(enabled=True), clock=FakeClock()
-        )
-        profiler.begin("T").complete()
+        tracer, profiler = _profiled_tracer()
+        tracer.finish(tracer.begin())
         profiler.reset()
         assert profiler.report()["templates"] == {}
 

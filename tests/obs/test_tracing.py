@@ -9,7 +9,6 @@ from repro.exceptions import ConfigurationError
 from repro.obs import names
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import (
-    NOOP_TRACE,
     DecisionTrace,
     DecisionTracer,
     FlightRecorder,
@@ -89,15 +88,16 @@ class TestSpanTree:
 
 class TestNoopPath:
     def test_noop_trace_is_inert_and_shared(self):
-        assert NOOP_TRACE.active is False
-        span = NOOP_TRACE.span("predict", plan=1)
+        unsampled = DecisionTracer("T", config=TraceConfig(enabled=False)).begin()
+        assert unsampled.active is False
+        span = unsampled.span("predict", plan=1)
         with span as inner:
             assert inner.set(anything=1) is inner
-        assert NOOP_TRACE.annotate(x=1) is None
+        assert unsampled.annotate(x=1) is None
 
     def test_disabled_tracer_returns_the_singleton(self):
         tracer = DecisionTracer("T", config=TraceConfig(enabled=False))
-        assert tracer.begin() is NOOP_TRACE
+        assert tracer.begin() is tracer.begin()
 
 
 class TestSerialization:
@@ -187,7 +187,7 @@ class TestSampler:
             "T", config=TraceConfig(head=0, interval=0, error_burst=2)
         )
         trace = tracer.begin()
-        assert trace is NOOP_TRACE
+        assert trace.active is False
         tracer.finish(trace, record=_record(degraded=True))
         follow = [tracer.begin() for __ in range(3)]
         assert [t.decision if t.active else "skipped" for t in follow] == [
@@ -303,3 +303,89 @@ class TestSessionIntegration:
         assert text.startswith("trace tiny#")
         assert "outcome:" in text
         assert "normalize" in text
+
+
+class TestSpanSeam:
+    """Span closes are the only per-decision timing points."""
+
+    @staticmethod
+    def _session(tiny_space, **overrides) -> TemplateSession:
+        config = PPCConfig(
+            confidence_threshold=0.6,
+            mean_invocation_probability=0.05,
+            drift_response=False,
+            **overrides,
+        )
+        return TemplateSession(tiny_space, config, seed=0)
+
+    def test_every_optimize_span_carries_the_same_attributes(self, tiny_space):
+        # A negative-feedback optimize span records what a pre-execution
+        # one does, retries included.
+        session = self._session(tiny_space, trace=TraceConfig(interval=1))
+        points = np.random.default_rng(3).random((2000, 2))
+        for x in points:
+            if session.execute(x).invocation_reason == "negative_feedback":
+                break
+        else:
+            pytest.fail("no negative-feedback execution in the workload")
+        spans = [
+            span
+            for trace in session.tracer.traces()
+            for span in trace.spans("optimize")
+        ]
+        reasons = {span.attributes["reason"] for span in spans}
+        assert "negative_feedback" in reasons and len(reasons) > 1
+        assert len({frozenset(span.attributes) for span in spans}) == 1
+
+    def test_stage_histograms_and_profiler_read_the_span_walls(
+        self, tiny_space
+    ):
+        from repro.config import ProfileConfig
+
+        stage_of = {
+            "predict": "predict",
+            "optimize": "optimize",
+            "execute_plan": "execute",
+            "feedback": "feedback",
+        }
+        session = self._session(
+            tiny_space, profiling=ProfileConfig(enabled=True)
+        )
+
+        def stage_sums() -> dict[str, float]:
+            return {
+                stage: (
+                    session.metrics.histogram_summary(
+                        names.STAGE_SECONDS, template="tiny", stage=stage
+                    )
+                    or {"sum": 0.0}
+                )["sum"]
+                for stage in names.STAGES
+            }
+
+        rng = np.random.default_rng(4)
+        seen = set()
+        for __ in range(200):
+            before = stage_sums()
+            session.profiler.reset()
+            trace = session.explain(rng.random(2))
+            after = stage_sums()
+            expected = dict(before)
+            for span in trace.root.children:
+                stage = stage_of.get(span.name)
+                if stage is not None:
+                    expected[stage] = expected[stage] + span.duration
+                    seen.add(stage)
+            assert after == expected
+            rows = {
+                tuple(row["path"]): row
+                for row in session.profiler.report()["templates"]["tiny"][
+                    "stages"
+                ]
+            }
+            predict = next(trace.spans("predict"))
+            assert rows[("decision", "predict")]["cum_seconds"] == (
+                predict.duration
+            )
+            assert rows[("decision",)]["cum_seconds"] == trace.root.duration
+        assert seen == set(names.STAGES)
