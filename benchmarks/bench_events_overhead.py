@@ -22,7 +22,6 @@ from repro.bench.runners import (
     EVENTS_MAX_OVERHEAD_PCT,
     EVENTS_MODES,
     EVENTS_PROBES,
-    EVENTS_REPEATS,
     EVENTS_WARMUP,
     run_events_overhead,
 )
@@ -35,8 +34,8 @@ def test_events_overhead(benchmark):
     modes = envelope["details"]["modes"]
     lines = [
         "Lifecycle-journal overhead on the predict/execute path",
-        f"(Q1, {EVENTS_WARMUP} warmup + {EVENTS_REPEATS}x"
-        f"{EVENTS_PROBES} probes, best of {EVENTS_REPEATS})",
+        f"(Q1, {EVENTS_WARMUP} warmup + {EVENTS_PROBES} probes, "
+        "modes alternated per instance)",
         "",
     ]
     for name, __ in EVENTS_MODES:

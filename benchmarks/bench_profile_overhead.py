@@ -21,7 +21,6 @@ from repro.bench.runners import (
     PROFILE_MAX_OVERHEAD_PCT,
     PROFILE_MODES,
     PROFILE_PROBES,
-    PROFILE_REPEATS,
     PROFILE_WARMUP,
     run_profile_overhead,
 )
@@ -34,8 +33,8 @@ def test_profile_overhead(benchmark):
     modes = envelope["details"]["modes"]
     lines = [
         "Stage-profiler overhead on the predict/execute path",
-        f"(Q1, {PROFILE_WARMUP} warmup + {PROFILE_REPEATS}x"
-        f"{PROFILE_PROBES} probes, best of {PROFILE_REPEATS})",
+        f"(Q1, {PROFILE_WARMUP} warmup + {PROFILE_PROBES} probes, "
+        "modes alternated per instance)",
         "",
     ]
     for name, __ in PROFILE_MODES:

@@ -19,7 +19,6 @@ gate for leaving cache-quality telemetry always-on.
 from _bench_utils import write_bench_json, write_result
 from repro.bench.runners import (
     OVERHEAD_PROBES,
-    OVERHEAD_REPEATS,
     OVERHEAD_WARMUP,
     QUALITY_ADVANCE,
     QUALITY_MODES,
@@ -34,9 +33,9 @@ def test_quality_overhead(benchmark):
     modes = envelope["details"]["modes"]
     lines = [
         "Quality-telemetry overhead on the serving path",
-        f"(Q1, {OVERHEAD_WARMUP} warmup + {OVERHEAD_REPEATS}x"
-        f"{OVERHEAD_PROBES} probes, {QUALITY_ADVANCE}s simulated per "
-        f"instance, best of {OVERHEAD_REPEATS})",
+        f"(Q1, {OVERHEAD_WARMUP} warmup + {OVERHEAD_PROBES} probes, "
+        f"{QUALITY_ADVANCE}s simulated per instance, modes alternated "
+        "per instance)",
         "",
     ]
     for name, __ in QUALITY_MODES:

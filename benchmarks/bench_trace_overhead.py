@@ -16,7 +16,6 @@ untraced baseline — the flight recorder is meant to be always-on.
 from _bench_utils import write_bench_json, write_result
 from repro.bench.runners import (
     OVERHEAD_PROBES,
-    OVERHEAD_REPEATS,
     OVERHEAD_WARMUP,
     TRACE_MODES,
     run_trace_overhead,
@@ -28,8 +27,8 @@ def test_trace_overhead(benchmark):
     modes = envelope["details"]["modes"]
     lines = [
         "Decision-tracing overhead on the predict/execute path",
-        f"(Q1, {OVERHEAD_WARMUP} warmup + {OVERHEAD_REPEATS}x"
-        f"{OVERHEAD_PROBES} probes, best of {OVERHEAD_REPEATS})",
+        f"(Q1, {OVERHEAD_WARMUP} warmup + {OVERHEAD_PROBES} probes, "
+        "modes alternated per instance)",
         "",
     ]
     for name, __ in TRACE_MODES:

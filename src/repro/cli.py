@@ -132,14 +132,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    point = np.array(args.coords)[None, :]
-    ids, costs = space.label(point)
-    print(f"optimal plan : P{int(ids[0])}  (cost {costs[0]:,.1f})")
-    print(space.plan(int(ids[0])).describe())
+    costs = space.cost_matrix(np.array(args.coords)[None, :])[:, 0]
+    optimal = int(np.argmin(costs))
+    print(f"optimal plan : P{optimal}  (cost {costs[optimal]:,.1f})")
+    print(space.plan(optimal).describe())
     print("\nall candidates:")
-    matrix = space.cost_matrix(point)[:, 0]
-    for plan_id in np.argsort(matrix):
-        print(f"  P{int(plan_id)}: {matrix[plan_id]:12,.1f}")
+    for plan_id in np.argsort(costs):
+        print(f"  P{int(plan_id)}: {costs[plan_id]:12,.1f}")
     return 0
 
 

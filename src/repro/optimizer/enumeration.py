@@ -7,10 +7,11 @@ connected table subsets, keeping the cheapest plan per (subset,
 interesting order) at a given selectivity point.
 
 The enumerator works at one point at a time — exactly like a real
-optimizer invoked for one query instance — while the
+optimizer invoked for one query instance — and costs every candidate
+through the operators' single-point form, while the
 :class:`~repro.optimizer.plan_space.PlanSpace` oracle harvests its
 results across many points and then re-evaluates the harvested
-candidates vectorized.
+candidates.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ class DPEnumerator:
                 f"expected one point of degree "
                 f"{self.template.parameter_degree}, got shape {x.shape}"
             )
-        x = self.mapping.to_selectivity(x)
+        x = self.mapping.point_to_selectivity(x[0].tolist())
 
         # best[subset][sort_order] = (cost, node)
         best: dict[frozenset[str], dict[str | None, tuple[float, PlanNode]]] = {}
@@ -316,7 +317,7 @@ class DPEnumerator:
         best: dict,
         subset: frozenset[str],
         entries: dict,
-        x: np.ndarray,
+        x: list[float],
     ) -> None:
         """Consider composite-composite joins (bushy trees).
 
@@ -350,10 +351,9 @@ class DPEnumerator:
     def _keep_if_better(
         entries: dict["str | None", tuple[float, PlanNode]],
         node: PlanNode,
-        x: np.ndarray,
+        x: list[float],
     ) -> None:
-        __, cost = node.evaluate(x)
-        cost_value = float(cost[0])
+        __, cost = node.evaluate_point(x)
         current = entries.get(node.sort_order)
-        if current is None or cost_value < current[0]:
-            entries[node.sort_order] = (cost_value, node)
+        if current is None or cost < current[0]:
+            entries[node.sort_order] = (cost, node)

@@ -62,6 +62,19 @@ class ParameterMapping:
         self._lo = np.array([r[0] for r in ranges])
         self._hi = np.array([r[1] for r in ranges])
         self._log = np.array([s == "log" for s in scales])
+        self._log_lo = np.log(self._lo)
+        self._log_span = np.log(self._hi) - self._log_lo
+        # Per-axis terms of :meth:`point_to_selectivity`, as floats.
+        self._point_terms = list(
+            zip(
+                self._log.tolist(),
+                self._log_lo.tolist(),
+                self._log_span.tolist(),
+                self._lo.tolist(),
+                (self._hi - self._lo).tolist(),
+                strict=True,
+            )
+        )
 
     @classmethod
     def for_template(
@@ -92,11 +105,23 @@ class ParameterMapping:
             raise ConfigurationError(
                 f"expected {self.dimensions}-dimensional points"
             )
-        log_sel = np.exp(
-            np.log(self._lo) + x * (np.log(self._hi) - np.log(self._lo))
-        )
+        log_sel = np.exp(self._log_lo + x * self._log_span)
         linear_sel = self._lo + x * (self._hi - self._lo)
         return np.where(self._log, log_sel, linear_sel)
+
+    def point_to_selectivity(self, x: "list[float]") -> list[float]:
+        """:meth:`to_selectivity` of one point on Python floats.
+
+        The same operations in the same order (numpy's ``exp``, as in
+        the array form), so the result is bit-identical; ``x`` is not
+        validated.
+        """
+        return [
+            float(np.exp(log_lo + value * log_span)) if log else lo + value * span
+            for value, (log, log_lo, log_span, lo, span) in zip(
+                x, self._point_terms, strict=True
+            )
+        ]
 
     def to_normalized(self, selectivity: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_selectivity` (clipped to ``[0, 1]``)."""
