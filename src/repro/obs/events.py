@@ -62,9 +62,21 @@ EVENT_KINDS = (
 )
 
 
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds a
+#: new encoder on every call; the digest encodes every event, so it
+#: shares one (same settings, same text).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: The stream digest takes events in runs of this many.  Encoding one
+#: event between two decisions runs cold (about 25 µs per event on a
+#: 2-vCPU host, against about 7 µs in a run), and a run of 64 stays
+#: well inside the smallest ring (``EventsConfig.capacity`` >= 64).
+_DIGEST_RUN = 64
+
+
 def _canonical(event: "dict[str, Any]") -> str:
     """Canonical JSON of one event (sorted keys, no whitespace)."""
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(event)
 
 
 class _TemplateEmitter:
@@ -114,6 +126,7 @@ class EventJournal:
         self._by_kind: "dict[tuple[str, str], int]" = {}
         self._trace: "dict[str, int | None]" = {}
         self._hash = hashlib.sha256()
+        self._undigested: "list[dict[str, Any]]" = []
         self._metrics = None
         self._emit_counters: "dict[tuple[str, str], Any]" = {}
         self._dropped_counter = None
@@ -147,7 +160,8 @@ class EventJournal:
     def emit(
         self, template: str, kind: str, **fields: Any
     ) -> "dict[str, Any]":
-        """Append one typed event; returns the event dict."""
+        """Append one typed event; returns the event dict (the
+        journal's own record: read it, do not modify it)."""
         event: "dict[str, Any]" = {
             "seq": self._seq,
             "ts": float(self._clock()),
@@ -161,7 +175,9 @@ class EventJournal:
         self.emitted += 1
         key = (template, kind)
         self._by_kind[key] = self._by_kind.get(key, 0) + 1
-        self._hash.update((_canonical(event) + "\n").encode("utf-8"))
+        self._undigested.append(event)
+        if len(self._undigested) >= _DIGEST_RUN:
+            self._digest_run()
         if len(self._ring) >= self._capacity:
             self._ring.popleft()
             self.dropped += 1
@@ -199,9 +215,19 @@ class EventJournal:
             and (kind is None or event["kind"] == kind)
         ]
 
+    def _digest_run(self) -> None:
+        """Fold the events emitted since the last run into the hash."""
+        self._hash.update(
+            "".join(
+                [_canonical(event) + "\n" for event in self._undigested]
+            ).encode("utf-8")
+        )
+        self._undigested.clear()
+
     def digest(self) -> str:
         """SHA-256 over the canonical form of every event ever emitted
         (a running hash, so rotation does not weaken it)."""
+        self._digest_run()
         return self._hash.copy().hexdigest()
 
     def stats(self) -> "dict[str, Any]":

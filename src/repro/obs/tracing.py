@@ -19,8 +19,8 @@ reports its wall to two consumers — a top-level ``predict`` /
 ``ppc_stage_seconds`` (see :data:`STAGE_SPANS`), and when the
 :class:`~repro.obs.profiling.StageProfiler` sampled the execution it
 folds the span's path.  A profiled execution the tracer did not sample
-gets an inactive :class:`DecisionTrace`: spans are timed, nothing is
-annotated or recorded.
+gets the tracer's one reusable inactive :class:`DecisionTrace`: spans
+are timed, no span tree is built, nothing is annotated or recorded.
 
 Sampling is deterministic — no RNG draw is consumed, so a traced run
 produces bit-identical decisions to an untraced one (see the parity
@@ -234,14 +234,17 @@ class DecisionTrace:
     ``stages`` maps top-level span names to their stage histograms
     (:data:`STAGE_SPANS`); ``profiler`` is set when the stage profiler
     sampled this execution.  An inactive trace (profiled, not sampled
-    by the tracer) times its spans for those consumers only.
+    by the tracer) times its spans for those consumers only: it builds
+    no :class:`Span` below the root and hands out the no-op span.
     """
 
     __slots__ = (
         "_clock",
+        "_path",
         "_profiler",
         "_stack",
         "_stages",
+        "_starts",
         "_t0",
         "active",
         "decision",
@@ -274,51 +277,73 @@ class DecisionTrace:
         self._t0 = clock()
         self.root = Span("decision")
         self._stack: list[Span] = [self.root]
+        #: Names of the open spans, root first: the profiler's stage path.
+        self._path: tuple[str, ...] = (self.root.name,)
+        #: Start offsets of the open spans below the root.
+        self._starts: list[float] = []
+
+    def restart(self, seq: int) -> "DecisionTrace":
+        """Begin the next execution on this inactive trace: it records
+        nothing, so the tracer keeps one instead of building one per
+        profiled execution."""
+        self.seq = seq
+        self._path = (self.root.name,)
+        self._starts.clear()
+        self._t0 = self._clock()
+        return self
 
     # The two methods below are the *only* sanctioned span lifecycle
     # primitives, and RPR009 confines direct calls to this module —
     # everyone else goes through the ``span()`` context manager, which
     # guarantees the close and records error status on exceptions.
-    def open_span(self, name: str, **attributes: Any) -> Span:
-        span = Span(name, self._clock() - self._t0)
+    def open_span(self, name: str, **attributes: Any) -> "Span | _NoopSpan":
+        start = self._clock() - self._t0
+        self._path += (name,)
+        self._starts.append(start)
+        if not self.active:
+            return _NOOP_SPAN
+        span = Span(name, start)
         if attributes:
             span.attributes.update(attributes)
         self._stack[-1].children.append(span)
         self._stack.append(span)
         return span
 
-    def close_span(self) -> None:
-        if len(self._stack) > 1:
-            span = self._stack[-1]
-            span.duration = self._clock() - self._t0 - span.start
-            if len(self._stack) == 2 and span.status == "ok":
-                histogram = self._stages.get(span.name)
+    def close_span(self, ok: bool = True) -> None:
+        if len(self._path) > 1:
+            seconds = self._clock() - self._t0 - self._starts.pop()
+            path = self._path
+            self._path = path[:-1]
+            if self.active:
+                self._stack.pop().duration = seconds
+            if len(path) == 2 and ok:
+                histogram = self._stages.get(path[1])
                 if histogram is not None:
-                    histogram.observe(span.duration)
+                    histogram.observe(seconds)
             if self._profiler is not None:
-                path = tuple([open_span.name for open_span in self._stack])
-                self._profiler.fold(self.template, path, span.duration)
-            self._stack.pop()
+                self._profiler.fold(self.template, path, seconds)
 
     def span(self, name: str, **attributes: Any) -> "DecisionTrace":
         """Open a child span for the duration of the ``with`` block;
-        ``with trace.span(name) as span:`` binds the new :class:`Span`.
-        The trace is its own context manager, so a span costs no
-        allocation beyond the :class:`Span` itself."""
+        ``with trace.span(name) as span:`` binds the new :class:`Span`
+        (the no-op span on an inactive trace).  The trace is its own
+        context manager, so a span costs no allocation beyond the
+        :class:`Span` itself."""
         self.open_span(name, **attributes)
         return self
 
-    def __enter__(self) -> Span:
-        return self._stack[-1]
+    def __enter__(self) -> "Span | _NoopSpan":
+        return self._stack[-1] if self.active else _NOOP_SPAN
 
     def __exit__(self, exc_type: object, *exc_info: object) -> None:
-        if exc_type is not None:
+        if exc_type is not None and self.active:
             self._stack[-1].status = "error"
-        self.close_span()
+        self.close_span(ok=exc_type is None)
 
     def annotate(self, **attributes: Any) -> None:
         """Attach attributes to the innermost open span."""
-        self._stack[-1].attributes.update(attributes)
+        if self.active:
+            self._stack[-1].attributes.update(attributes)
 
     def charge(self, name: str, seconds: float) -> None:
         """Report a top-level stage timed outside any span (the batch
@@ -329,11 +354,11 @@ class DecisionTrace:
 
     def finish(self, outcome: Mapping[str, Any]) -> None:
         """Close any spans left open and seal the trace's outcome."""
-        while len(self._stack) > 1:
+        while len(self._path) > 1:
             self.close_span()
         self.root.duration = self._clock() - self._t0
         if self._profiler is not None:
-            self._profiler.fold(self.template, (self.root.name,), self.root.duration)
+            self._profiler.fold(self.template, self._path, self.root.duration)
         self.outcome = dict(outcome)
 
     @property
@@ -456,7 +481,8 @@ class DecisionTracer:
 
     Owned by one :class:`~repro.core.framework.TemplateSession`;
     ``begin`` is called once per execute and returns a live
-    :class:`DecisionTrace` or the reusable :class:`StageTrace`,
+    :class:`DecisionTrace`, the reusable inactive one when only the
+    profiler sampled, or the reusable :class:`StageTrace`;
     ``finish`` seals the trace with the execution's outcome and arms
     the error-bias burst.  ``clock`` times every span of every trace
     (tests inject a fake one).
@@ -504,6 +530,7 @@ class DecisionTracer:
             for span, stage in STAGE_SPANS.items()
         }
         self._unsampled = StageTrace(self._stages, self._clock)
+        self._profiled: "DecisionTrace | None" = None
 
     def begin(self, force: bool = False) -> "DecisionTrace | StageTrace":
         """Sample this execution; deterministic, consumes no RNG."""
@@ -531,8 +558,21 @@ class DecisionTracer:
         profiled = self.profiler is not None and self.profiler.sample(
             self.template
         )
-        if decision == "skipped" and not profiled:
-            return self._unsampled
+        if decision == "skipped":
+            if not profiled:
+                return self._unsampled
+            if self._profiled is not None:
+                return self._profiled.restart(seq)
+            self._profiled = DecisionTrace(
+                self.template,
+                seq,
+                decision,
+                clock=self._clock,
+                stages=self._stages,
+                profiler=self.profiler,
+                active=False,
+            )
+            return self._profiled
         return DecisionTrace(
             self.template,
             seq,
@@ -540,7 +580,6 @@ class DecisionTracer:
             clock=self._clock,
             stages=self._stages,
             profiler=self.profiler if profiled else None,
-            active=decision != "skipped",
         )
 
     def finish(

@@ -11,6 +11,7 @@ journal.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -160,6 +161,27 @@ class TestRingRotation:
         assert small.dropped > 0 and large.dropped == 0
         assert small.digest() == large.digest()
         assert small.digest() == stream_digest(large.events())
+
+    @given(
+        emits=st.integers(min_value=0, max_value=300),
+        reads=st.sets(st.integers(min_value=0, max_value=300), max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_digest_is_the_per_event_hash_at_every_read(self, emits, reads):
+        # Events enter the digest in runs; a read at any point still
+        # sees exactly the hash of every event emitted so far, each
+        # hashed as its own canonical line.
+        journal = _journal(capacity=64)
+        emitter = journal.bind("Q1")
+        reference = hashlib.sha256()
+        for index in range(emits):
+            if index in reads:
+                assert journal.digest() == reference.hexdigest()
+            event = emitter("point_inserted", plan=index, cost=index / 7.0)
+            line = json.dumps(event, sort_keys=True, separators=(",", ":"))
+            reference.update((line + "\n").encode("utf-8"))
+        assert journal.digest() == reference.hexdigest()
+        assert journal.stats()["digest"] == reference.hexdigest()
 
     @given(
         capacity=st.integers(min_value=64, max_value=256),

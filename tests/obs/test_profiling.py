@@ -255,6 +255,30 @@ class TestLockstepParity:
             assert on_record.predicted == off_record.predicted
             assert on_record.confidence == off_record.confidence
 
+    def test_profiled_unsampled_trace_is_reused_without_a_tree(self):
+        # The tracer keeps one inactive trace for profiled executions it
+        # did not sample; each execution restarts it and folds exact
+        # walls (FakeClock: one tick per read).
+        tracer, profiler = _profiled_tracer()
+        first = tracer.begin()  # t0 = 0
+        with first.span("predict"), first.span("transform"):  # 1..4, 2..3
+            pass
+        tracer.finish(first)  # root closes at 5
+        second = tracer.begin()  # t0 = 6
+        assert second is first
+        with second.span("predict"):  # 7..8
+            pass
+        tracer.finish(second)  # root closes at 9
+        assert second.root.children == []
+        rows = {
+            tuple(row["path"]): row
+            for row in profiler.report()["templates"]["T"]["stages"]
+        }
+        assert rows[("decision",)]["calls"] == 2
+        assert rows[("decision",)]["cum_seconds"] == 5.0 + 3.0
+        assert rows[("decision", "predict")]["cum_seconds"] == 3.0 + 1.0
+        assert rows[("decision", "predict", "transform")]["calls"] == 1
+
     def test_profile_trace_active_is_false(self):
         tracer, __ = _profiled_tracer()
         trace = tracer.begin()
