@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from repro.bench import runners
 from repro.bench.history import append_run, load_history
 from repro.bench.runners import (
     BENCHES,
@@ -55,6 +56,40 @@ class TestCommittedBaselines:
         run_ids = {entry["run_id"] for entry in entries}
         assert len(run_ids) >= 2, "history.jsonl should hold >= 2 runs"
         assert {entry["bench"] for entry in entries} >= set(BENCHES)
+
+
+class TestOverheadBars:
+    """Each overhead runner holds its gated mode's bar itself, so a
+    refreshed baseline cannot raise it through ``compare``'s allowance."""
+
+    GATED = [
+        (runners.run_profile_overhead, "on", runners.PROFILE_MAX_OVERHEAD_PCT),
+        (runners.run_events_overhead, "on", runners.EVENTS_MAX_OVERHEAD_PCT),
+        (runners.run_trace_overhead, "sampled", runners.TRACE_MAX_OVERHEAD_PCT),
+    ]
+
+    @staticmethod
+    def _fake_walls(monkeypatch, gated, overhead_pct):
+        def walls(modes, probes):
+            return {
+                name: 1.0 + (overhead_pct / 100.0 if name == gated else 0.0)
+                for name in modes
+            }
+
+        monkeypatch.setattr(runners, "_alternating_walls", walls)
+
+    @pytest.mark.parametrize("runner, gated, bar", GATED)
+    def test_reaching_the_bar_fails_the_run(self, monkeypatch, runner, gated, bar):
+        self._fake_walls(monkeypatch, gated, bar)
+        with pytest.raises(BenchError, match="bar"):
+            runner()
+
+    def test_below_the_bar_passes(self, monkeypatch):
+        runner, gated, bar = self.GATED[0]
+        self._fake_walls(monkeypatch, gated, bar - 0.5)
+        envelope = runner()
+        value = envelope["metrics"]["enabled_overhead_pct"]["value"]
+        assert value == pytest.approx(bar - 0.5)
 
 
 def _seed_rig(results_dir, current_value, baseline_value=100.0):
